@@ -1,11 +1,8 @@
 """``repro.analysis`` — AST invariant linter for the reproduction.
 
-Four passes guard the conventions the rest of the repo silently relies
+Three passes guard the conventions the rest of the repo silently relies
 on (see docs/ANALYSIS.md for the rule catalog and workflow):
 
-* :mod:`repro.analysis.surface` — REP1xx: every mutable attribute of a
-  warm structure must be covered by its ``state_dict``/``swap`` surface
-  (replay/checkpoint fidelity, PR 4/8).
 * :mod:`repro.analysis.determinism` — REP2xx: no wall clocks, entropy,
   builtin ``hash()``/``id()``, or unsorted set iteration in simulator /
   sample / hashing modules (bit-identical results across worker

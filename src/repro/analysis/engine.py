@@ -24,7 +24,6 @@ from repro.analysis.findings import SEVERITIES, Finding, sort_findings
 from repro.analysis.hashaxes import DEFAULT_HASH_SURFACES, check_hash_axes
 from repro.analysis.obsnames import check_obs_names
 from repro.analysis.source import LintError, iter_modules
-from repro.analysis.surface import check_surfaces
 
 #: Path prefixes (relative, ``repro/...``) subject to the strict
 #: determinism rules REP201–203.  Everything else may read wall clocks
@@ -37,8 +36,12 @@ DEFAULT_SIM_PATHS = (
     "repro/exec/spec.py",
 )
 
-#: All pass ids, in report order.
-PASSES = ("surface", "determinism", "hashaxes", "obsnames")
+#: Rule family -> the pass that emits it, in report order.
+PASSES = {
+    "REP2": check_determinism,
+    "REP3": check_hash_axes,
+    "REP4": check_obs_names,
+}
 
 
 @dataclass
@@ -120,26 +123,24 @@ class LintReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _run_passes(modules, ctx: LintContext, rules) -> list:
+def selected_families(rules) -> tuple:
+    """Pass families a ``--rules`` selection runs: a family runs when a
+    selected id is inside it (``REP204``) or a prefix of it (``REP``).
+    No selection runs every family."""
+    return tuple(family for family in PASSES
+                 if not rules or any(r.startswith(family)
+                                     or family.startswith(r)
+                                     for r in rules))
+
+
+def _run_passes(modules, ctx: LintContext, rules, families) -> list:
     findings: list = []
-    if _selected("REP1", rules):
-        findings.extend(check_surfaces(modules, ctx))
-    if _selected("REP2", rules):
-        findings.extend(check_determinism(modules, ctx))
-    if _selected("REP3", rules):
-        findings.extend(check_hash_axes(modules, ctx))
-    if _selected("REP4", rules):
-        findings.extend(check_obs_names(modules, ctx))
+    for family in families:
+        findings.extend(PASSES[family](modules, ctx))
     if rules:
         findings = [f for f in findings
                     if any(f.rule.startswith(r) for r in rules)]
     return findings
-
-
-def _selected(prefix: str, rules) -> bool:
-    if not rules:
-        return True
-    return any(r.startswith(prefix) or prefix.startswith(r) for r in rules)
 
 
 def run_lint(root, ctx: Optional[LintContext] = None,
@@ -163,7 +164,8 @@ def run_lint(root, ctx: Optional[LintContext] = None,
             ctx.doc_text = doc.read_text(encoding="utf-8")
     modules = iter_modules(root)
     rules = tuple(rules) if rules else ()
-    findings = sort_findings(_run_passes(modules, ctx, rules))
+    families = selected_families(rules)
+    findings = sort_findings(_run_passes(modules, ctx, rules, families))
     grandfathered: list = []
     stale: list = []
     if baseline_path is not None:
@@ -172,4 +174,4 @@ def run_lint(root, ctx: Optional[LintContext] = None,
             findings, entries)
     return LintReport(root=str(root), findings=findings,
                       grandfathered=grandfathered, stale_baseline=stale,
-                      rules_run=rules or ("REP1", "REP2", "REP3", "REP4"))
+                      rules_run=families)

@@ -4,7 +4,7 @@ Every pass consumes :class:`SourceModule` objects — a parsed AST plus
 the raw source lines and the inline suppression map.  Suppressions use
 the grammar::
 
-    some_statement  # lint: ok(REP101) stats stay with their owner
+    t0 = time.time()  # lint: ok(REP201) host-side progress timer
 
 i.e. ``# lint: ok(<RULE>[, <RULE>...]) <justification>``.  A marker
 silences the named rules on that physical line only, and the

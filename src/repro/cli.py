@@ -17,9 +17,9 @@ Commands:
   detailed-work accounting as JSON.  See docs/SEARCH.md.
 * ``disasm BENCH`` — print the compiled EDGE hyperblocks.
 * ``profile BENCH`` — wall-clock phase profile of one simulation.
-* ``lint`` — AST invariant analysis over ``src/repro`` (transfer-surface
-  completeness, determinism, content-hash axes, obs schema); exit 1 on
-  non-baseline findings.  See docs/ANALYSIS.md.
+* ``lint`` — AST invariant analysis over ``src/repro`` (determinism,
+  content-hash axes, obs schema); exit 1 on non-baseline findings.
+  See docs/ANALYSIS.md.
 
 ``run`` additionally takes ``--inject SPEC`` (repeatable) to inject
 faults: ``dead:CORE``, ``kill:CORE@CYCLE``, or ``link:SRC-DST:EXTRA``
@@ -513,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_p = sub.add_parser(
         "lint", help="static invariant analysis over src/repro "
-                     "(transfer surfaces, determinism, hash axes, "
-                     "obs schema — see docs/ANALYSIS.md)")
+                     "(determinism, hash axes, obs schema — see "
+                     "docs/ANALYSIS.md)")
     lint_p.add_argument(
         "--root", default=None, metavar="DIR",
         help="source tree to analyse (default: the installed repro "
@@ -534,8 +534,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the current findings to the baseline file and exit 0")
     lint_p.add_argument(
         "--rules", default=None, metavar="IDS",
-        help="comma-separated rule-id prefixes to run, e.g. REP1,REP204 "
-             "(default: all)")
+        help="comma-separated rule-id prefixes to run, e.g. REP3,REP204 "
+             "(default: all); each must select a pass family "
+             "(REP2 determinism, REP3 hash axes, REP4 obs names)")
 
     for fig in ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table2"):
         fig_p = sub.add_parser(fig, help=f"regenerate {fig}")
@@ -606,14 +607,17 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
                          f"got {args.max_candidates}")
 
     if args.command == "lint":
+        from repro.analysis.engine import PASSES, selected_families
+
         args.rules_parsed = None
         if args.rules:
             args.rules_parsed = tuple(
                 r.strip() for r in args.rules.split(",") if r.strip())
-            bad = [r for r in args.rules_parsed if not r.startswith("REP")]
+            bad = [r for r in args.rules_parsed
+                   if not selected_families((r,))]
             if bad:
-                parser.error(f"--rules entries must be REP-prefixed rule "
-                             f"ids or prefixes, got {', '.join(bad)}")
+                parser.error(f"--rules entries must select a rule family "
+                             f"({', '.join(PASSES)}), got {', '.join(bad)}")
 
     if args.command == "cache":
         from repro.exec.store import parse_size

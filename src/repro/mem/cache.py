@@ -76,7 +76,7 @@ class CacheBank:
         self.line_size = line_size
         self.assoc = assoc
         self.num_sets = num_lines // assoc
-        self.stats = CacheStats()  # lint: ok(REP101) history, not warm state — stats stay with their owner across swaps
+        self.stats = CacheStats()
         # set index -> OrderedDict[(ctx, line_addr) -> Line], LRU first.
         self._sets: list[OrderedDict] = [OrderedDict() for __ in range(self.num_sets)]
 
@@ -174,17 +174,17 @@ class CacheBank:
             yield from cache_set.values()
 
     # ------------------------------------------------------------------
-    # State transfer (sampled-simulation warm-up injection, checkpoints)
+    # State transfer (sampled-simulation warm-up injection)
     # ------------------------------------------------------------------
 
-    def swap_lines(self, other: "CacheBank") -> None:
+    def swap_state(self, other: "CacheBank") -> None:
         """Exchange resident lines with a same-geometry bank in O(1).
 
-        Observably identical to an ``export_lines``/``import_lines``
-        round trip in each direction (set order, LRU order, and line
-        state all move by reference); stats stay with their owner.  The
-        sampled engine uses this to move warm state to and from
-        per-window systems without materializing snapshots.
+        Set order, LRU order and line state all move by reference;
+        stats stay with their owner.  The sampled engine uses this to
+        move warm state to and from per-window systems — see
+        :meth:`DistributedRas.swap_state` for why an exchange is
+        observably a copy there.
         """
         if other.num_sets != self.num_sets \
                 or other.line_size != self.line_size \
@@ -192,30 +192,3 @@ class CacheBank:
             raise ValueError(f"{self.name}: swap geometry mismatch "
                              f"with {other.name}")
         self._sets, other._sets = other._sets, self._sets
-
-    def export_lines(self) -> list:
-        """JSON-safe snapshot of the resident lines, one list per set in
-        LRU-first order (so a round trip preserves eviction order)."""
-        return [[[line.ctx, line.line_addr, line.state.value]
-                 for line in cache_set.values()]
-                for cache_set in self._sets]
-
-    def import_lines(self, sets: list) -> None:
-        """Replace resident state with an :meth:`export_lines` snapshot.
-
-        The snapshot must come from a bank of the same geometry (set
-        count is checked; lines land in their stored set, keeping the
-        set hash consistent).  Stats are untouched — this transfers warm
-        state, not history.
-        """
-        if len(sets) != self.num_sets:
-            raise ValueError(
-                f"{self.name}: snapshot has {len(sets)} sets, "
-                f"bank has {self.num_sets}")
-        self._sets = [
-            OrderedDict(((ctx, line_addr),
-                         Line(ctx=ctx, line_addr=line_addr,
-                              state=LineState(state)))
-                        for ctx, line_addr, state in entries)
-            for entries in sets
-        ]

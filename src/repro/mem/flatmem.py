@@ -99,21 +99,3 @@ class FlatMemory:
     def footprint_pages(self) -> int:
         """Number of pages touched (for tests and stats)."""
         return len(self._pages)
-
-    # ------------------------------------------------------------------
-    # Checkpointing (sampled simulation)
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-safe page snapshot: page number (as str) -> base64 data."""
-        import base64
-
-        return {str(number): base64.b64encode(bytes(page)).decode("ascii")
-                for number, page in self._pages.items()}
-
-    def restore(self, snapshot: dict) -> None:
-        """Replace all contents with a :meth:`snapshot` payload."""
-        import base64
-
-        self._pages = {int(number): bytearray(base64.b64decode(data))
-                       for number, data in snapshot.items()}

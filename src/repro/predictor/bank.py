@@ -220,13 +220,3 @@ class PredictorBank:
         O(1) (:meth:`ExitPredictor.swap_state`)."""
         self.exits.swap_state(other.exits)
         self.targets.swap_state(other.targets)
-
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot of both table sets (stats excluded)."""
-        return {"exits": self.exits.state_dict(),
-                "targets": self.targets.state_dict()}
-
-    def load_state(self, state: dict) -> None:
-        """Replace all table contents with a :meth:`state_dict` snapshot."""
-        self.exits.load_state(state["exits"])
-        self.targets.load_state(state["targets"])

@@ -88,7 +88,7 @@ class ExitPredictor:
         self._global_pattern = [_PatternEntry() for __ in range(global_entries)]
         # Choice: 0..1 prefer local, 2..3 prefer global.
         self._choice = [1] * choice_entries
-        self.stats = ExitStats()  # lint: ok(REP101) history, not warm state — stats stay with their owner across swaps
+        self.stats = ExitStats()
 
     # ------------------------------------------------------------------
     # Indexing
@@ -181,7 +181,7 @@ class ExitPredictor:
         return self.stats.correct / self.stats.predictions
 
     # ------------------------------------------------------------------
-    # State transfer (sampled-simulation warm-up injection, checkpoints)
+    # State transfer (sampled-simulation warm-up injection)
     # ------------------------------------------------------------------
 
     def swap_state(self, other: "ExitPredictor") -> None:
@@ -200,29 +200,3 @@ class ExitPredictor:
         self._global_pattern, other._global_pattern = \
             other._global_pattern, self._global_pattern
         self._choice, other._choice = other._choice, self._choice
-
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot of the table contents (stats excluded)."""
-        return {
-            "local_hist": list(self._local_hist),
-            "local_pattern": [[e.exit_id, e.confidence]
-                              for e in self._local_pattern],
-            "global_pattern": [[e.exit_id, e.confidence]
-                               for e in self._global_pattern],
-            "choice": list(self._choice),
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Replace table contents with a :meth:`state_dict` snapshot
-        (the geometries must match)."""
-        if len(state["local_hist"]) != len(self._local_hist) \
-                or len(state["local_pattern"]) != len(self._local_pattern) \
-                or len(state["global_pattern"]) != len(self._global_pattern) \
-                or len(state["choice"]) != len(self._choice):
-            raise ValueError("exit-predictor snapshot geometry mismatch")
-        self._local_hist = list(state["local_hist"])
-        self._local_pattern = [_PatternEntry(e, c)
-                               for e, c in state["local_pattern"]]
-        self._global_pattern = [_PatternEntry(e, c)
-                                for e, c in state["global_pattern"]]
-        self._choice = list(state["choice"])

@@ -43,7 +43,7 @@ class DistributedRas:
         self.capacity = num_cores * entries_per_core
         self._stack = [0] * self.capacity
         self._top = 0          # number of live entries (next free slot)
-        self.stats = RasStats()  # lint: ok(REP101) history, not warm state — stats stay with their owner across swaps
+        self.stats = RasStats()
 
     # ------------------------------------------------------------------
     # Geometry
@@ -103,7 +103,7 @@ class DistributedRas:
             self._stack[checkpoint.overwritten_slot] = checkpoint.overwritten_value
 
     # ------------------------------------------------------------------
-    # State transfer (sampled-simulation warm-up injection, checkpoints)
+    # State transfer (sampled-simulation warm-up injection)
     # ------------------------------------------------------------------
 
     def swap_state(self, other: "DistributedRas") -> None:
@@ -112,21 +112,22 @@ class DistributedRas:
         The sampled engine moves warm state between the shadow and a
         per-window system whose post-window state is never read again,
         so an exchange is observably identical to a copy and allocates
-        nothing.  Stats stay with their owner, as in ``load_state``.
+        nothing.  Stats stay with their owner.
         """
         if other.capacity != self.capacity:
             raise ValueError("RAS swap capacity mismatch")
         self._stack, other._stack = other._stack, self._stack
         self._top, other._top = other._top, self._top
 
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot of the stack contents (stats excluded)."""
-        return {"stack": list(self._stack), "top": self._top}
-
-    def load_state(self, state: dict) -> None:
-        """Replace stack contents with a :meth:`state_dict` snapshot
-        (the capacity must match)."""
-        if len(state["stack"]) != self.capacity:
-            raise ValueError("RAS snapshot capacity mismatch")
-        self._stack = list(state["stack"])
-        self._top = int(state["top"])
+    def inherit(self, old: "DistributedRas") -> None:
+        """Take over ``old``'s live entries across a recomposition of
+        (possibly) different size: the youngest entries survive, up to
+        this stack's capacity — exactly the entries a deepening call
+        stack would consult first.  Stats stay with their owner."""
+        live = min(old._top, old.capacity)   # overflow wraps clamp at capacity
+        keep = min(live, self.capacity)
+        stack = [0] * self.capacity
+        for i in range(keep):
+            stack[i] = old._stack[(old._top - keep + i) % old.capacity]
+        self._stack = stack
+        self._top = keep

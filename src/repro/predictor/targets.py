@@ -56,7 +56,7 @@ class TargetPredictor:
         self._btype = [BranchKind.SEQ] * btype_entries
         self._btb = [_TaggedTarget() for __ in range(btb_entries)]
         self._ctb = [_TaggedTarget() for __ in range(ctb_entries)]
-        self.stats = TargetStats()  # lint: ok(REP101) history, not warm state — stats stay with their owner across swaps
+        self.stats = TargetStats()
 
     # ------------------------------------------------------------------
     # Indexing
@@ -132,7 +132,7 @@ class TargetPredictor:
             entry.key, entry.target = key, actual_target
 
     # ------------------------------------------------------------------
-    # State transfer (sampled-simulation warm-up injection, checkpoints)
+    # State transfer (sampled-simulation warm-up injection)
     # ------------------------------------------------------------------
 
     def swap_state(self, other: "TargetPredictor") -> None:
@@ -146,22 +146,3 @@ class TargetPredictor:
         self._btype, other._btype = other._btype, self._btype
         self._btb, other._btb = other._btb, self._btb
         self._ctb, other._ctb = other._ctb, self._ctb
-
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot of the table contents (stats excluded)."""
-        return {
-            "btype": [kind.value for kind in self._btype],
-            "btb": [[e.key, e.target] for e in self._btb],
-            "ctb": [[e.key, e.target] for e in self._ctb],
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Replace table contents with a :meth:`state_dict` snapshot
-        (the geometries must match)."""
-        if len(state["btype"]) != len(self._btype) \
-                or len(state["btb"]) != len(self._btb) \
-                or len(state["ctb"]) != len(self._ctb):
-            raise ValueError("target-predictor snapshot geometry mismatch")
-        self._btype = [BranchKind(v) for v in state["btype"]]
-        self._btb = [_TaggedTarget(k, t) for k, t in state["btb"]]
-        self._ctb = [_TaggedTarget(k, t) for k, t in state["ctb"]]

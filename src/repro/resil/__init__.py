@@ -12,9 +12,8 @@ claim testable:
 * :mod:`repro.resil.injector` — applies a schedule to a live system
   through narrow cold-path seams (fault-free runs stay bit-identical);
 * :mod:`repro.resil.recompose` — on core loss, abandons in-flight
-  blocks, captures architectural + warm state through the sampled-
-  simulation transfer surfaces, re-forms the composition on surviving
-  cores, and resumes;
+  blocks, captures architectural state and the RAS contents, re-forms
+  the composition on surviving cores, and resumes;
 * :mod:`repro.resil.run` — the ``RunResult``-producing driver behind
   ``JobSpec.faults`` and the ``repro resil`` degradation experiment.
 """
@@ -23,8 +22,7 @@ from repro.resil.faults import (FaultEvent, FaultSchedule, KINDS, NETS,
                                 parse_inject)
 from repro.resil.injector import FaultInjector
 from repro.resil.recompose import (CompositionLost, RecompositionEngine,
-                                   RecoveryReport, choose_composition,
-                                   transfer_ras)
+                                   RecoveryReport, choose_composition)
 from repro.resil.run import MAX_CYCLES, ResilientRun, run_resilient
 
 __all__ = [
@@ -38,7 +36,6 @@ __all__ = [
     "RecompositionEngine",
     "RecoveryReport",
     "choose_composition",
-    "transfer_ras",
     "MAX_CYCLES",
     "ResilientRun",
     "run_resilient",

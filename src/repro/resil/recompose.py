@@ -10,11 +10,12 @@ Recovery protocol, per victim processor, inside the failure event:
 1. **Interrupt** — abandon every in-flight block through the normal
    halt flush, which repairs speculative predictor/RAS state; the
    architectural state sits exactly at the last committed block.
-2. **Capture** — registers, the distributed RAS contents, the
+2. **Capture** — registers (in-place copy), the distributed RAS
+   contents (:meth:`DistributedRas.inherit`, which keeps the youngest
+   entries when the new composition is smaller), the
    dependence-violation history, and the committed-path resume point
-   (``last_commit_next``/``last_commit_ghist``) through the same
-   transfer surfaces sampled simulation uses (``state_dict`` /
-   in-place register copy / shared memory image).
+   (``last_commit_next``/``last_commit_ghist``); memory is the shared
+   committed image.
 3. **Re-form** — the largest placeable composition (power-of-two
    rectangle) no bigger than the old one, avoiding faulty and occupied
    cores; the new processor reuses the victim's cache context tag, so
@@ -91,22 +92,6 @@ def choose_composition(cfg, target: int,
     return None
 
 
-def transfer_ras(old, new) -> None:
-    """Move the distributed RAS contents between compositions of
-    (possibly) different sizes: the youngest live entries survive, up
-    to the new capacity — exactly the entries a deepening call stack
-    would consult first."""
-    state = old.state_dict()
-    top, stack = state["top"], state["stack"]
-    old_capacity = len(stack)
-    live = min(top, old_capacity)          # overflow wraps clamp at capacity
-    keep = min(live, new.capacity)
-    new_stack = [0] * new.capacity
-    for i in range(keep):
-        new_stack[i] = stack[(top - keep + i) % old_capacity]
-    new.load_state({"stack": new_stack, "top": keep})
-
-
 class RecompositionEngine:
     """Rebuilds compositions around failed cores on one system."""
 
@@ -173,7 +158,7 @@ class RecompositionEngine:
         blocks_lost = len(proc.inflight)
         proc.interrupt()
 
-        # 2. Capture architectural state through the transfer surfaces.
+        # 2. Capture architectural state.
         regs = list(proc.regs)
         dependence = set(proc.dependence_set)
         if proc.stats.blocks_committed and proc.last_commit_next is not None:
@@ -198,7 +183,7 @@ class RecompositionEngine:
         new_proc.memory = proc.memory          # shared committed image
         new_proc.regs[:] = regs                # banks alias the list
         new_proc.dependence_set |= dependence
-        transfer_ras(proc.ras, new_proc.ras)
+        new_proc.ras.inherit(proc.ras)
         if proc.store_sets is not None and new_proc.store_sets is not None:
             new_proc.store_sets = proc.store_sets
 

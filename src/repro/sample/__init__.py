@@ -3,9 +3,8 @@
 See :mod:`repro.sample.engine` for the design.  The public surface:
 
 * :class:`SamplingConfig` — the window/fast-forward rhythm;
-* :class:`SampledRun` — stepwise driver with checkpoint/resume;
+* :class:`SampledRun` — steps through windows and fast-forward intervals;
 * :func:`run_sampled` — one job spec to one extrapolated RunResult;
-* :class:`Checkpoint` — JSON-safe resumable snapshot;
 * :class:`ShadowUarch` — the warm structures driven during fast-forward;
 * :class:`FFTraceStore` / :func:`configure_ff_trace` — shared
   fast-forward traces, recorded once per (program, scale, schedule)
@@ -13,7 +12,6 @@ See :mod:`repro.sample.engine` for the design.  The public surface:
   (:mod:`repro.sample.trace`).
 """
 
-from repro.sample.checkpoint import Checkpoint
 from repro.sample.config import SamplingConfig
 from repro.sample.engine import SampledRun, run_sampled
 from repro.sample.shadow import RecordingMemory, ShadowUarch
@@ -22,7 +20,6 @@ from repro.sample.trace import (FFTraceStore, configure_ff_trace,
                                 trace_key)
 
 __all__ = [
-    "Checkpoint",
     "FFTraceStore",
     "RecordingMemory",
     "SampledRun",

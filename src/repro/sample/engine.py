@@ -44,7 +44,6 @@ from typing import Optional
 import repro.obs as obs_lib
 from repro.isa.interp import Interpreter
 from repro.isa.program import HALT_ADDR
-from repro.sample.checkpoint import Checkpoint
 from repro.sample.config import SamplingConfig
 from repro.sample.shadow import RecordingMemory, ShadowUarch, rebuild_directory
 from repro.tflex import TFlexSystem
@@ -84,9 +83,8 @@ class SampledRun:
     """Driver for one sampled simulation; see the module docstring.
 
     ``step()`` advances one window plus the following fast-forward
-    interval; ``checkpoint()``/``resume()`` snapshot and restore the
-    run at those boundaries; ``run()`` drives to completion and builds
-    the extrapolated :class:`~repro.harness.runner.RunResult`.
+    interval; ``run()`` drives to completion and builds the
+    extrapolated :class:`~repro.harness.runner.RunResult`.
     """
 
     def __init__(self, spec, sampling: Optional[SamplingConfig] = None,
@@ -234,22 +232,22 @@ class SampledRun:
 
         Each window runs on a fresh ``TFlexSystem`` that is discarded
         after :meth:`_absorb`, and the shadow is idle while the window
-        runs — so moving state by O(1) reference swaps (contents
-        identical to the ``state_dict``/``export_lines`` round trip,
-        which JSON checkpoints still use) is observably a copy in both
-        directions, without materializing per-window snapshots."""
+        runs — so moving state by O(1) reference swaps is observably a
+        copy in both directions.  Every warm structure (predictor
+        banks, RAS, I/D-cache banks, L2 banks) exposes the same
+        ``swap_state``."""
         shadow = self.shadow
         for i, bank in enumerate(shadow.pred_banks):
             system.cores[proc.core_of_index(i)].predictor.swap_state(bank)
         proc.ras.swap_state(shadow.ras)
         for i in range(self.ncores):
-            system.cores[proc.core_of_index(i)].icache.swap_lines(
+            system.cores[proc.core_of_index(i)].icache.swap_state(
                 shadow.icaches[i])
         for b in range(shadow.num_dbanks):
-            system.cores[proc.dbank_core(b)].dcache.swap_lines(
+            system.cores[proc.dbank_core(b)].dcache.swap_state(
                 shadow.dcaches[b])
         for l2_bank, shadow_bank in zip(system.l2.banks, shadow.l2.banks):
-            l2_bank.swap_lines(shadow_bank)
+            l2_bank.swap_state(shadow_bank)
 
     def _inject(self, system: TFlexSystem, proc) -> None:
         """Move the shadow's warm state into the real structures."""
@@ -284,7 +282,7 @@ class SampledRun:
         if trace is not None and trace.mode == "replay":
             # Intervals are indexed by position: the loop alternates
             # window -> fast-forward, so the interval after window k is
-            # interval k (resume restores k as len(windows)).
+            # interval k.
             interval = trace.interval_for(len(self.windows) - 1, self.addr)
             if interval is not None:
                 profiler = self.obs.profiler
@@ -537,68 +535,6 @@ class SampledRun:
                 merged.components[name] = round(
                     merged.components[name] * factor)
         return merged
-
-    # ------------------------------------------------------------------
-    # Checkpoint / resume
-    # ------------------------------------------------------------------
-
-    def checkpoint(self) -> Checkpoint:
-        """Snapshot the run at the current window/fast-forward boundary."""
-        return Checkpoint(
-            spec=self.spec.canonical(),
-            sampling=self.sampling.to_dict(),
-            addr=self.addr, ghist=self.ghist,
-            blocks=self.blocks, insts=self.insts,
-            loads=self.loads, stores=self.stores,
-            finished=self.finished,
-            regs=list(self.interp.regs),
-            memory=self.mem.snapshot(),
-            shadow=self.shadow.state_dict(),
-            windows=[{
-                "stats": w.stats.to_dict(),
-                "dram_requests": w.dram_requests,
-                "measured": ([w.measured_insts, w.measured_cycles]
-                             if w.measured_insts else None),
-                "terminal": w.terminal,
-                "tail": w.tail,
-            } for w in self.windows],
-            dependence=sorted([label, lsq_id]
-                              for label, lsq_id in self.dependence),
-        )
-
-    @staticmethod
-    def resume(spec, checkpoint: Checkpoint, trace=None) -> "SampledRun":
-        """Rebuild a run from a checkpoint; continuing it produces the
-        exact result the uninterrupted run would have.  ``trace`` may
-        hand the resumed run a replay session (intervals re-align by
-        window count); a record session started mid-run abandons
-        itself rather than persist a partial trace."""
-        if checkpoint.spec != spec.canonical():
-            raise ValueError("checkpoint was taken under a different job spec")
-        run = SampledRun(spec, SamplingConfig.from_dict(checkpoint.sampling),
-                         trace=trace)
-        run.addr = checkpoint.addr
-        run.ghist = checkpoint.ghist
-        run.blocks = checkpoint.blocks
-        run.insts = checkpoint.insts
-        run.loads = checkpoint.loads
-        run.stores = checkpoint.stores
-        run.finished = checkpoint.finished
-        run.interp.regs[:] = checkpoint.regs
-        run.mem.restore(checkpoint.memory)
-        run.shadow.load_state(checkpoint.shadow)
-        run.windows = [
-            _Window(stats=ProcStats.from_dict(w["stats"]),
-                    dram_requests=w["dram_requests"],
-                    measured_insts=w["measured"][0] if w["measured"] else None,
-                    measured_cycles=w["measured"][1] if w["measured"] else None,
-                    terminal=w.get("terminal", False),
-                    tail=w.get("tail", False))
-            for w in checkpoint.windows
-        ]
-        run.dependence = {(label, lsq_id)
-                          for label, lsq_id in checkpoint.dependence}
-        return run
 
 
 def run_sampled(spec):

@@ -11,10 +11,11 @@ reuses the *same* classes the cycle simulator uses (``PredictorBank``,
 program order, ignoring all timing results.
 
 State moves between the shadow and a real :class:`TFlexSystem` through
-the structures' ``state_dict``/``load_state`` and
-``export_lines``/``import_lines`` APIs; the L2 directory is rebuilt
-from L1 contents on every transfer (the directory's invariant is
-"entry == some L1 holds the line", so it is derived state).
+each structure's O(1) ``swap_state`` (the engine's
+:meth:`~repro.sample.engine.SampledRun._swap_state`); the L2 directory
+is rebuilt from L1 contents on every transfer (the directory's
+invariant is "entry == some L1 holds the line", so it is derived
+state).
 
 Fidelity notes: the shadow trains the predictor strictly in commit
 order, so wrong-path pollution from deep speculation is not modelled;
@@ -118,7 +119,6 @@ class ShadowUarch:
                       name=f"shadow.d{b}")
             for b in range(self.num_dbanks)
         ]
-        # lint: ok(REP101) pure function of the composition geometry
         self._dbank_core = [
             interleave.dbank_core_index(b, ncores, self.num_dbanks)
             for b in range(self.num_dbanks)
@@ -132,7 +132,6 @@ class ShadowUarch:
             l1_banks=dmap.get, dram=Dram())
 
         # Participating core index -> L1 banks there (directory rebuilds).
-        # lint: ok(REP101) index over icaches/dcaches, which the surface covers
         self._l1_by_core: dict[int, list[CacheBank]] = {
             i: [self.icaches[i]] for i in range(ncores)}
         for b, core_index in enumerate(self._dbank_core):
@@ -140,11 +139,11 @@ class ShadowUarch:
 
         # Block size -> ((core_index, icache_lines), ...), the per-core
         # I-cache footprint (depends only on size and the composition).
-        self._ic_lines: dict[int, tuple] = {}  # lint: ok(REP101) memo cache, rebuilt on demand
+        self._ic_lines: dict[int, tuple] = {}
         # Block size -> ((core_index, byte_offset), ...), the same
         # footprint flattened to one pair per touched line for the
         # ``observe`` hot loop.
-        self._ic_flat: dict[int, tuple] = {}  # lint: ok(REP101) memo cache, rebuilt on demand
+        self._ic_flat: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Warming
@@ -198,7 +197,7 @@ class ShadowUarch:
         # simulation.  The hit path is open-coded against CacheBank's
         # set layout (one hashed ``move_to_end`` doubling as lookup and
         # LRU touch, no per-access stats — nothing reads shadow stats,
-        # and ``export_lines`` carries only resident state); misses
+        # and ``swap_state`` moves only resident state); misses
         # fall back to the exact protocol sequence ``CacheBank.access``
         # callers use, so warm state is bit-identical to the plain
         # path.
@@ -266,31 +265,3 @@ class ShadowUarch:
 
     def rebuild_directory(self) -> None:
         rebuild_directory(self.l2, self._l1_by_core)
-
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot of every warm structure (directory
-        excluded — it is rebuilt from L1 contents on load)."""
-        return {
-            "pred": [bank.state_dict() for bank in self.pred_banks],
-            "ras": self.ras.state_dict(),
-            "icache": [bank.export_lines() for bank in self.icaches],
-            "dcache": [bank.export_lines() for bank in self.dcaches],
-            "l2": [bank.export_lines() for bank in self.l2.banks],
-        }
-
-    def load_state(self, state: dict) -> None:
-        if len(state["pred"]) != len(self.pred_banks) \
-                or len(state["icache"]) != len(self.icaches) \
-                or len(state["dcache"]) != len(self.dcaches) \
-                or len(state["l2"]) != len(self.l2.banks):
-            raise ValueError("shadow snapshot geometry mismatch")
-        for bank, snapshot in zip(self.pred_banks, state["pred"]):
-            bank.load_state(snapshot)
-        self.ras.load_state(state["ras"])
-        for bank, lines in zip(self.icaches, state["icache"]):
-            bank.import_lines(lines)
-        for bank, lines in zip(self.dcaches, state["dcache"]):
-            bank.import_lines(lines)
-        for bank, lines in zip(self.l2.banks, state["l2"]):
-            bank.import_lines(lines)
-        self.rebuild_directory()

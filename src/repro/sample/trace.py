@@ -414,8 +414,9 @@ class RecordSession:
         if self.abandoned:
             return
         if index != len(self.intervals):
-            # Resumed mid-run (checkpoint) or intervals were skipped:
-            # a partial recording would replay wrong, so stop here.
+            # Intervals were skipped (recording began on a run that
+            # had already fast-forwarded): a partial recording would
+            # replay wrong, so stop here.
             self.abandoned = True
             self._cur = None
             return

@@ -69,7 +69,7 @@ class TestBaseline:
     def test_missing_entry_fields_raise(self, tmp_path):
         bad = tmp_path / "baseline.json"
         bad.write_text(json.dumps(
-            {"version": 1, "findings": [{"rule": "REP101"}]}))
+            {"version": 1, "findings": [{"rule": "REP201"}]}))
         with pytest.raises(LintError):
             run_lint(FIXTURES, ctx=_fixture_ctx(), baseline_path=bad)
 
@@ -96,6 +96,13 @@ class TestReportShapes:
         report = run_lint(FIXTURES, ctx=_fixture_ctx(), rules=("REP204",))
         assert report.findings
         assert all(f.rule == "REP204" for f in report.findings)
+        # rules_run names the pass families that actually ran.
+        assert report.rules_run == ("REP2",)
+        assert run_lint(FIXTURES, ctx=_fixture_ctx()).rules_run == \
+            ("REP2", "REP3", "REP4")
+        report = run_lint(FIXTURES, ctx=_fixture_ctx(),
+                          rules=("REP204", "REP4"))
+        assert json.loads(report.to_json())["rules_run"] == ["REP2", "REP4"]
 
 
 class TestCliContract:
@@ -112,7 +119,7 @@ class TestCliContract:
         clean.mkdir()
         (clean / "mod.py").write_text("X = 1\n")
         code = main(["lint", "--root", str(clean), "--baseline", "none",
-                     "--rules", "REP1,REP2,REP4"])
+                     "--rules", "REP201,REP2,REP4"])
         assert code == 0
 
     def test_internal_error_exits_three(self, tmp_path, capsys):
@@ -142,6 +149,10 @@ class TestCliContract:
         assert code == 0
 
     def test_bad_rules_flag_is_argparse_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["lint", "--rules", "BOGUS1"])
-        assert exc.value.code == 2
+        """Non-REP ids and prefixes that select no registered pass
+        family (REP9, the retired REP1xx) are usage errors, not silent
+        empty runs."""
+        for rules in ("BOGUS1", "REP9", "REP1", "REP204,REP9"):
+            with pytest.raises(SystemExit) as exc:
+                main(["lint", "--rules", rules])
+            assert exc.value.code == 2, rules

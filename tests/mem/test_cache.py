@@ -1,5 +1,7 @@
 """Unit tests for the generic cache bank and the NUCA L2 + directory."""
 
+import copy
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -194,8 +196,10 @@ class TestL2System:
 
 
 class TestSwapLines:
-    """O(1) warm-state exchange: observably identical to an
-    export_lines/import_lines round trip in each direction."""
+    """O(1) warm-state exchange, checked against deep copies of both
+    sides taken before the swap: afterwards each bank must answer
+    ``probe`` — and pick eviction victims — exactly as the other side's
+    copy would."""
 
     def make(self, size=1024, assoc=2, line=64):
         return CacheBank(size, assoc, line, name="t")
@@ -207,40 +211,52 @@ class TestSwapLines:
             bank.access(0, stride * (i + 1))
         return bank
 
+    @staticmethod
+    def _answers(bank):
+        """Every resident line ``probe`` reports over the addresses the
+        tests touch, then the victims a copy of ``bank`` evicts under
+        pressure (LRU order is part of the warm state)."""
+        probes = []
+        for addr in range(0, 0x8000, 0x40):
+            line = bank.probe(0, addr)
+            probes.append(None if line is None
+                          else (line.line_addr, line.state))
+        pressured = copy.deepcopy(bank)
+        victims = []
+        for i in range(2 * pressured.num_sets * pressured.assoc):
+            victim = pressured.fill(0, 0x10_0000 + i * 0x40)
+            victims.append(None if victim is None else victim.line_addr)
+        return probes, victims
+
     def test_swap_exchanges_lines(self):
         a = self._filled(0x40)
         b = self._filled(0x1000)
-        lines_a = a.export_lines()
-        lines_b = b.export_lines()
-        assert lines_a != lines_b
-        a.swap_lines(b)
-        assert a.export_lines() == lines_b
-        assert b.export_lines() == lines_a
-        a.swap_lines(b)
-        assert a.export_lines() == lines_a
+        ref_a, ref_b = copy.deepcopy(a), copy.deepcopy(b)
+        assert self._answers(ref_a) != self._answers(ref_b)
+        a.swap_state(b)
+        assert self._answers(a) == self._answers(ref_b)
+        assert self._answers(b) == self._answers(ref_a)
+        a.swap_state(b)
+        assert self._answers(a) == self._answers(ref_a)
+        assert self._answers(b) == self._answers(ref_b)
 
-    def test_swap_matches_import_roundtrip(self):
-        """The swap and the snapshot round trip land on identical
-        observable state — including LRU order (the eviction victim)."""
+    def test_swap_into_empty_bank_moves_lru_order(self):
+        """Swapping with an empty bank hands over the resident lines
+        with their LRU order (the eviction victim) intact and leaves the
+        source cold."""
         a = self._filled(0x40)
+        a.access(0, 0x40)          # make 0x40 most recently used
         b = self.make()
-        via_swap = self.make()
-        via_swap.import_lines(a.export_lines())
-        reference = self.make()
-        reference.import_lines(a.export_lines())
-
-        a.swap_lines(b)
-        assert b.export_lines() == reference.export_lines()
-        assert a.export_lines() == self.make().export_lines()
-        # Same victim under pressure on both copies.
-        set0 = next(sets for sets in b.export_lines() if sets)
-        assert set0 == next(s for s in reference.export_lines() if s)
+        ref_a = copy.deepcopy(a)
+        a.swap_state(b)
+        assert self._answers(b) == self._answers(ref_a)
+        assert self._answers(a) == self._answers(self.make())
 
     def test_swap_leaves_stats_with_owner(self):
         a = self._filled(0x40)
         b = self.make()
         reads = a.stats.reads
-        a.swap_lines(b)
+        a.swap_state(b)
         assert a.stats.reads == reads
         assert b.stats.reads == 0
 
@@ -249,4 +265,4 @@ class TestSwapLines:
                       self.make(assoc=4),
                       self.make(line=32)):
             with pytest.raises(ValueError):
-                self.make().swap_lines(other)
+                self.make().swap_state(other)

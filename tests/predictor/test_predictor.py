@@ -1,5 +1,7 @@
 """Unit tests for exit prediction, target prediction, and the distributed RAS."""
 
+import copy
+
 import pytest
 
 from repro.isa.program import BLOCK_STRIDE
@@ -262,9 +264,10 @@ class TestPredictorBank:
 
 
 class TestSwapState:
-    """O(1) state exchange: observably identical to a
-    state_dict/load_state round trip in both directions (the sampled
-    engine's injection/absorption path)."""
+    """O(1) state exchange, checked against deep copies of both sides
+    taken before the swap: afterwards each structure must answer
+    ``predict``/``pop`` exactly as the other side's copy would (the
+    sampled engine's injection/absorption path)."""
 
     def _trained_bank(self, seed_exit):
         bank = PredictorBank()
@@ -280,18 +283,40 @@ class TestSwapState:
             ghist = push_history(ghist, actual, 4)
         return bank
 
+    @staticmethod
+    def _predictions(bank):
+        """Answers of a copy of ``bank`` over a fixed block stream
+        (``predict`` updates speculative history, so the original is
+        left untouched)."""
+        bank = copy.deepcopy(bank)
+        ras = DistributedRas(num_cores=1)
+        answers = []
+        ghist = 0
+        for i in range(30):
+            prediction = bank.predict(BASE + (i % 7) * BLOCK_STRIDE,
+                                      ghist, ras)
+            answers.append((prediction.exit_id, prediction.kind,
+                            prediction.next_addr))
+            ghist = prediction.next_global_history
+        return answers
+
+    @staticmethod
+    def _pops(ras):
+        ras = copy.deepcopy(ras)
+        return [ras.pop()[0] for __ in range(ras.capacity + 1)]
+
     def test_bank_swap_exchanges_tables(self):
         a = self._trained_bank(0)
         b = self._trained_bank(1)
-        state_a = a.state_dict()
-        state_b = b.state_dict()
-        assert state_a != state_b
+        ref_a, ref_b = copy.deepcopy(a), copy.deepcopy(b)
+        assert self._predictions(ref_a) != self._predictions(ref_b)
         a.swap_state(b)
-        assert a.state_dict() == state_b
-        assert b.state_dict() == state_a
+        assert self._predictions(a) == self._predictions(ref_b)
+        assert self._predictions(b) == self._predictions(ref_a)
         # And back: a second swap restores the original assignment.
         a.swap_state(b)
-        assert a.state_dict() == state_a
+        assert self._predictions(a) == self._predictions(ref_a)
+        assert self._predictions(b) == self._predictions(ref_b)
 
     def test_bank_swap_leaves_stats_with_owner(self):
         a = self._trained_bank(0)
@@ -314,11 +339,11 @@ class TestSwapState:
         b = DistributedRas(num_cores=2)
         for value in (0x100, 0x200, 0x300):
             a.push(value)
-        state_a = a.state_dict()
-        state_b = b.state_dict()
+        b.push(0x900)
+        ref_a, ref_b = copy.deepcopy(a), copy.deepcopy(b)
         a.swap_state(b)
-        assert a.state_dict() == state_b
-        assert b.state_dict() == state_a
+        assert self._pops(a) == self._pops(ref_b)
+        assert self._pops(b) == self._pops(ref_a)
         assert b.depth == 3
         value, __ = b.pop()
         assert value == 0x300

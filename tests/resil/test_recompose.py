@@ -1,10 +1,11 @@
 """Unit tests for the recomposition building blocks: survivor-region
-selection and RAS state transfer between compositions."""
+selection and RAS state transfer between compositions
+(``DistributedRas.inherit``)."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.predictor.ras import DistributedRas
-from repro.resil import choose_composition, transfer_ras
+from repro.resil import choose_composition
 from repro.tflex import tflex_config
 from repro.tflex.placement import rectangle
 
@@ -60,7 +61,7 @@ class TestTransferRas:
         old = DistributedRas(4, entries_per_core=4)
         new = DistributedRas(4, entries_per_core=4)
         self._push(old, [10, 20, 30])
-        transfer_ras(old, new)
+        new.inherit(old)
         assert new.depth == 3
         assert new.pop()[0] == 30
         assert new.pop()[0] == 20
@@ -70,7 +71,7 @@ class TestTransferRas:
         old = DistributedRas(4, entries_per_core=2)   # capacity 8
         new = DistributedRas(2, entries_per_core=2)   # capacity 4
         self._push(old, range(100, 108))              # 8 live entries
-        transfer_ras(old, new)
+        new.inherit(old)
         assert new.depth == 4
         assert [new.pop()[0] for _ in range(4)] == [107, 106, 105, 104]
 
@@ -78,7 +79,7 @@ class TestTransferRas:
         old = DistributedRas(1, entries_per_core=4)
         new = DistributedRas(4, entries_per_core=4)
         self._push(old, [1, 2, 3])
-        transfer_ras(old, new)
+        new.inherit(old)
         assert new.depth == 3
         assert [new.pop()[0] for _ in range(3)] == [3, 2, 1]
 
@@ -86,7 +87,7 @@ class TestTransferRas:
         old = DistributedRas(2, entries_per_core=2)   # capacity 4
         new = DistributedRas(2, entries_per_core=2)
         self._push(old, range(10))   # 10 pushes wrap the 4-entry stack
-        transfer_ras(old, new)
+        new.inherit(old)
         assert new.depth == 4
         assert [new.pop()[0] for _ in range(4)] == [9, 8, 7, 6]
 
@@ -97,7 +98,7 @@ class TestTransferRas:
         old = DistributedRas(old_cores, entries_per_core=4)
         new = DistributedRas(new_cores, entries_per_core=4)
         self._push(old, values)
-        transfer_ras(old, new)
+        new.inherit(old)
         live = min(len(values), old.capacity)
         keep = min(live, new.capacity)
         assert new.depth == keep

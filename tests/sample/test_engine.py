@@ -168,3 +168,39 @@ class TestObservability:
         run = SampledRun(JobSpec.edge("conv", 8, scale=2, sampling=SAMPLING))
         run.run()
         assert bundle.profiler.seconds("sample.ff") > 0
+
+
+class _BoundaryProbe(SampledRun):
+    """Records each window's violation set at its start (after the
+    carried history is injected) and at its end."""
+
+    def __init__(self, spec) -> None:
+        super().__init__(spec)
+        self.starts: list[set] = []
+        self.ends: list[set] = []
+
+    def _inject(self, system, proc) -> None:
+        self.starts.append(set(proc.dependence_set))
+        super()._inject(system, proc)
+
+    def _absorb(self, system, proc) -> None:
+        self.ends.append(set(proc.dependence_set))
+        super()._absorb(system, proc)
+
+
+class TestDependenceHistory:
+    def test_violation_set_carries_across_windows(self):
+        """The violation-history set accumulates monotonically in a
+        real run; each window must start from everything the previous
+        one ended with, or later windows would be biased fast."""
+        run = _BoundaryProbe(JobSpec.edge(
+            "gzip", 8, scale=4,
+            sampling={"ff_blocks": 64, "window_blocks": 24,
+                      "warmup_blocks": 8}))
+        run.run()
+        assert run.dependence, "expected gzip scale=4 to violate"
+        assert len(run.starts) >= 2
+        assert any(run.ends[:len(run.starts) - 1]), \
+            "no window before the last ended with a violation"
+        for k, (ended, started) in enumerate(zip(run.ends, run.starts[1:])):
+            assert ended <= started, f"window {k + 1} lost history"
