@@ -8,7 +8,7 @@ The timed jobs:
 * a micro benchmark of the bare event-queue step loop,
 * the functional interpreter loop (the sampled-simulation
   fast-forward path) over a golden program,
-* the warm worker pool against per-job spawning, and
+* the warm worker pool against the serial in-process path, and
 * the shared fast-forward trace store against per-job fast-forward
   interpretation over a sampled composition sweep.
 
@@ -154,52 +154,66 @@ def test_step_loop_smoke(benchmark):
     _check_regression("step_loop", seconds, calibration)
 
 
-def _pool_vs_spawn(tmp_root: pathlib.Path) -> tuple:
-    """Time the golden fig6 sweep on both executor backends.
+def _pool_vs_serial(tmp_root: pathlib.Path) -> tuple:
+    """Time the golden fig6 sweep on the warm pool and serially.
 
-    Both arms run under the spawn start method — the full
-    process-boot + ``import repro`` per-job lifecycle the pool exists
-    to amortise (fork shares the parent's warm modules and would
-    understate the per-job cost on both sides).  Returns
-    ``(pool_seconds, spawn_seconds, pool_store, spawn_store, specs)``.
+    The pool arm runs 4 workers under the spawn start method — the
+    process-boot + ``import repro`` lifecycle the pool amortises, which
+    fork would hide by sharing the parent's warm modules.  The serial
+    arm runs every job in-process with the build cache cold, as a fresh
+    ``--jobs 1`` invocation does.  Returns
+    ``(pool_seconds, serial_seconds, pool_store, serial_store, specs)``.
     """
     specs = fig6_specs(scale=GOLDEN_SCALE,
                        benchmarks=list(GOLDEN_BENCHMARKS))
     pool_store = ResultStore(tmp_root / "pool")
-    spawn_store = ResultStore(tmp_root / "spawn")
+    serial_store = ResultStore(tmp_root / "serial")
 
     t0 = time.perf_counter()
-    pooled = run_specs(specs, jobs=4, store=pool_store,
-                       pool=True, mp_context="spawn")
+    pooled = run_specs(specs, jobs=4, store=pool_store, mp_context="spawn")
     pool_seconds = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    spawned = run_specs(specs, jobs=4, store=spawn_store,
-                        pool=False, mp_context="spawn")
-    spawn_seconds = time.perf_counter() - t0
+    saved = dict(runner_mod._PROGRAMS)
+    runner_mod._PROGRAMS.clear()
+    try:
+        t0 = time.perf_counter()
+        serial = run_specs(specs, jobs=1, store=serial_store)
+        serial_seconds = time.perf_counter() - t0
+    finally:
+        runner_mod._PROGRAMS.clear()
+        runner_mod._PROGRAMS.update(saved)
 
     assert all(r.status == "ok" for r in pooled)
-    assert all(r.status == "ok" for r in spawned)
-    return pool_seconds, spawn_seconds, pool_store, spawn_store, specs
+    assert all(r.status == "ok" for r in serial)
+    return pool_seconds, serial_seconds, pool_store, serial_store, specs
 
 
-def test_pool_vs_spawn(tmp_path):
-    """Acceptance: the warm pool runs the golden fig6 sweep >=1.3x
-    faster than per-job spawning, with byte-identical store records."""
+#: Acceptance floor for the warm pool (4 workers) over the serial
+#: in-process sweep.  Measured 1.40-1.70x over 5 runs on a 2-vCPU VM;
+#: a per-job pool overhead of ~100 ms would push the ratio below it.
+POOL_VS_SERIAL_FLOOR = 1.2
+
+
+def test_pool_vs_serial(tmp_path):
+    """Acceptance: the warm pool runs the golden fig6 sweep >=1.2x
+    faster than the serial in-process path, with byte-identical store
+    records."""
     calibration = calibrate()
-    pool_s, spawn_s, pool_store, spawn_store, specs = _pool_vs_spawn(tmp_path)
+    pool_s, serial_s, pool_store, serial_store, specs = \
+        _pool_vs_serial(tmp_path)
 
     for spec in specs:
         a = pool_store.path_for(pool_store.key(spec)).read_bytes()
-        b = spawn_store.path_for(spawn_store.key(spec)).read_bytes()
+        b = serial_store.path_for(serial_store.key(spec)).read_bytes()
         assert a == b, f"records diverge for {spec.label()}"
 
     _record("fig6_pool_warm", pool_s, calibration)
-    _record("fig6_spawn_perjob", spawn_s, calibration)
+    _record("fig6_serial_inproc", serial_s, calibration)
     _check_regression("fig6_pool_warm", pool_s, calibration)
-    assert spawn_s >= 1.3 * pool_s, (
+    assert serial_s >= POOL_VS_SERIAL_FLOOR * pool_s, (
         f"warm pool not fast enough: pool {pool_s:.2f}s vs "
-        f"spawn {spawn_s:.2f}s ({spawn_s / pool_s:.2f}x, need >=1.3x)")
+        f"serial {serial_s:.2f}s ({serial_s / pool_s:.2f}x, "
+        f"need >={POOL_VS_SERIAL_FLOOR}x)")
 
 
 #: Per-benchmark data scales sized so every golden benchmark commits

@@ -27,11 +27,10 @@ faults: ``dead:CORE``, ``kill:CORE@CYCLE``, or ``link:SRC-DST:EXTRA``
 up front — conflicting or out-of-range ``--sample-*``/``--inject``
 values fail with an actionable message before any simulation starts.
 
-Simulating commands take ``--jobs N`` (parallel workers for cold
-points) with ``--pool/--no-pool`` (warm persistent worker pool vs one
-process per job) and ``--schedule ljf|fifo`` (dispatch order),
-``--cache-dir DIR`` and ``--no-cache`` (the persistent result store
-under ``.repro-cache/`` — see docs/EXECUTION.md),
+Simulating commands take ``--jobs N`` (warm pool workers for cold
+points, dispatched longest-job-first; ``N >= 1``), ``--cache-dir DIR``
+and ``--no-cache`` (the persistent result store under
+``.repro-cache/`` — see docs/EXECUTION.md),
 ``--ff-trace/--no-ff-trace`` (shared fast-forward traces for sampled
 runs, recorded once per benchmark/schedule and replayed by every
 composition — on by default, disabled by ``--no-cache`` unless
@@ -359,23 +358,24 @@ def _sampling_from_args(args) -> dict | None:
             "warmup_blocks": args.sample_warmup}
 
 
+def _jobs_count(text: str) -> int:
+    """``--jobs`` value: an integer >= 1 (argparse exits 2 otherwise)."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def _add_exec_flags(sub_parser, jobs: bool = True) -> None:
     """Execution-engine knobs shared by the simulating subcommands."""
     if jobs:
         sub_parser.add_argument(
-            "--jobs", type=int, default=1, metavar="N",
-            help="worker processes for cold simulation points (default 1)")
-        pool_group = sub_parser.add_mutually_exclusive_group()
-        pool_group.add_argument(
-            "--pool", dest="pool", action="store_true", default=True,
-            help="serve jobs from a warm persistent worker pool (default)")
-        pool_group.add_argument(
-            "--no-pool", dest="pool", action="store_false",
-            help="spawn one fresh worker process per job")
-        sub_parser.add_argument(
-            "--schedule", choices=("ljf", "fifo"), default="ljf",
-            help="cold-job dispatch order: longest-job-first from learned "
-                 "duration estimates, or submission order (default ljf)")
+            "--jobs", type=_jobs_count, default=1, metavar="N",
+            help="warm pool workers for cold simulation points; 1 runs "
+                 "them in-process (default 1)")
     sub_parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persistent result store location (default .repro-cache)")
@@ -676,16 +676,6 @@ def _configure_store(args) -> None:
         os.environ[TRACE_DIR_ENV] = str(resolve_trace_dir())
 
 
-def _configure_exec(args) -> None:
-    """Apply --pool/--no-pool/--schedule as process-wide executor
-    defaults; commands without the flags leave them untouched."""
-    if not hasattr(args, "schedule"):
-        return
-    from repro.harness import configure_exec
-
-    configure_exec(pool=args.pool, schedule=args.schedule)
-
-
 def _configure_obs(args) -> None:
     """Apply --trace-out/--metrics by installing the process-global
     observability bundle; commands without the flags leave it alone."""
@@ -757,7 +747,6 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"repro: {exc}", file=sys.stderr)
             return 2
-        _configure_exec(args)
         _configure_obs(args)
         try:
             return _dispatch(args)

@@ -16,8 +16,8 @@ into three composable pieces:
 * :mod:`repro.exec.sched` — :class:`DurationBook` duration estimates
   and the longest-job-first dispatch order they feed.
 * :mod:`repro.exec.executor` — :class:`ParallelExecutor`, the fan-out
-  driver (warm pool by default, one-process-per-job fallback) with
-  per-job timeout, duplicate-spec coalescing, one retry on worker
+  driver (the warm pool for ``jobs >= 2``, in-process for ``jobs=1``)
+  with per-job timeout, duplicate-spec coalescing, one retry on worker
   crash, and a live progress/ETA reporter.
 
 The harness (:mod:`repro.harness.runner`) layers its in-process cache

@@ -12,15 +12,12 @@ most ``jobs`` concurrent workers, with:
   out — a bad job is *reported* failed, it never kills the sweep;
 * optional live progress/ETA reporting.
 
-Two execution backends share those semantics:
-
-* the **warm pool** (default, :mod:`repro.exec.pool`): ``jobs``
-  long-lived workers that import the simulator once and serve specs
-  over a request/reply pipe, with longest-job-first dispatch from
-  learned duration estimates (:mod:`repro.exec.sched`);
-* the **per-job-spawn** path (``pool=False``): one process per job,
-  capped — the shape of vusec's ``prun`` scheduler, kept as the
-  fallback and as the baseline the pool is benchmarked against.
+With ``jobs >= 2`` the jobs run on a **warm pool**
+(:mod:`repro.exec.pool`): long-lived workers that import the simulator
+once and serve specs over a request/reply pipe, with longest-job-first
+dispatch from learned duration estimates (:mod:`repro.exec.sched`).
+``jobs=1`` runs every job in-process — the reference path the pool's
+records are byte-identical to.
 
 Results come back in input order as :class:`JobResult` records; the
 parent (not the workers) persists successful payloads to the store, so
@@ -33,7 +30,7 @@ import multiprocessing
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import repro.obs as obs_lib
@@ -56,17 +53,6 @@ STATUS_FAILED = "failed"     # exhausted retries (raise/crash/timeout)
 _SERIAL_TIMEOUT_WARNED = False
 
 
-def _failure_reason(error: str) -> str:
-    """Classify a worker error string for metric labels: ``timeout``
-    (wall clock exceeded), ``crash`` (the process died or its pipe
-    broke), or ``exception`` (the job raised)."""
-    if error.startswith("worker timed out"):
-        return "timeout"
-    if error.startswith("worker crashed") or error == "worker pipe broken":
-        return "crash"
-    return "exception"
-
-
 @dataclass
 class JobResult:
     """Outcome of one job in a sweep."""
@@ -83,36 +69,13 @@ class JobResult:
         return self.status in (STATUS_OK, STATUS_CACHED)
 
 
-def _child_main(worker: Callable[[JobSpec], dict], spec: JobSpec,
-                conn) -> None:
-    """Run ``worker(spec)`` in a child process, report through the pipe."""
-    try:
-        conn.send(("ok", worker(spec)))
-    except BaseException as exc:
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
-@dataclass
-class _Active:
-    index: int
-    process: multiprocessing.Process
-    conn: object
-    started: float
-    outcome: Optional[tuple] = None     # ("ok", payload) | ("error", msg)
-
-
 class ParallelExecutor:
     """Runs a batch of job specs, in parallel when ``jobs > 1``."""
 
     poll_interval = 0.01    # seconds between scheduler sweeps
     #: Grace period for the terminate→kill escalation on unresponsive
-    #: workers (both backends) — a worker that ignores SIGTERM is
-    #: SIGKILLed after this many seconds instead of wedging the sweep.
+    #: workers — a worker that ignores SIGTERM is SIGKILLed after this
+    #: many seconds instead of wedging the sweep.
     grace = 5.0
 
     def __init__(self, jobs: int = 1, timeout: Optional[float] = None,
@@ -120,18 +83,13 @@ class ParallelExecutor:
                  worker: Callable[[JobSpec], dict] = execute_spec,
                  progress: bool = False,
                  mp_context: Optional[str] = None,
-                 obs: Optional[obs_lib.Observability] = None,
-                 pool: bool = True, schedule: str = "ljf") -> None:
+                 obs: Optional[obs_lib.Observability] = None) -> None:
         self.jobs = max(1, int(jobs))
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.store = store
         self.worker = worker
         self.progress = progress
-        #: Warm worker pool (True, default) versus one-process-per-job.
-        self.pool = pool
-        #: Dispatch policy for the pool backend: ``"ljf"`` or ``"fifo"``.
-        self.schedule = schedule
         #: Observability: per-job lifecycle events (``job.*``) plus
         #: ``exec.jobs`` counters and an ``exec.job_seconds`` histogram.
         self.obs = obs if obs is not None else obs_lib.current()
@@ -182,10 +140,8 @@ class ParallelExecutor:
         try:
             if self.jobs <= 1:
                 self._run_serial(specs, todo, results, reporter)
-            elif self.pool:
-                self._run_pooled(specs, todo, results, reporter)
             else:
-                self._run_parallel(specs, todo, results, reporter)
+                self._run_pooled(specs, todo, results, reporter)
             for i, first in coalesced.items():
                 outcome = results[first]
                 results[i] = JobResult(
@@ -234,7 +190,8 @@ class ParallelExecutor:
                 except Exception as exc:
                     error = f"{type(exc).__name__}: {exc}"
                     if attempts <= self.retries:
-                        self._note_retry(spec, attempts, error, reporter)
+                        self._note_retry(spec, attempts, error,
+                                         "exception", reporter)
             results[i] = self._finish(spec, payload, error, attempts,
                                       time.monotonic() - started, reporter)
 
@@ -245,7 +202,7 @@ class ParallelExecutor:
         first when the duration book has history (FIFO when cold)."""
         book = DurationBook.for_store_root(
             self.store.root if self.store is not None else None)
-        pending = deque(order_indices(specs, todo, book, self.schedule))
+        pending = deque(order_indices(specs, todo, book))
         attempts = {i: 0 for i in todo}
         started_total = {i: time.monotonic() for i in todo}
         pool = WorkerPool(size=min(self.jobs, max(1, len(todo))),
@@ -272,7 +229,10 @@ class ParallelExecutor:
                             time.monotonic() - started_total[i], reporter)
                         continue
                     error = event.value
-                    reason = _failure_reason(error)
+                    # A broken pipe loses the worker just as a crash
+                    # does: metrics keep the exception/crash/timeout
+                    # vocabulary.
+                    reason = "crash" if event.reason == "pipe" else event.reason
                     if self.obs.active:
                         if reason == "crash":
                             self.obs.metrics.inc("exec.crashes",
@@ -283,7 +243,7 @@ class ParallelExecutor:
                             self.obs.metrics.inc("exec.timeouts")
                     if attempts[i] <= self.retries:
                         self._note_retry(specs[i], attempts[i], error,
-                                         reporter)
+                                         reason, reporter)
                         pending.appendleft(i)    # retry before new work
                     else:
                         results[i] = self._finish(
@@ -295,141 +255,14 @@ class ParallelExecutor:
             pool.shutdown()
             book.flush()
 
-    # -- per-job-spawn path --------------------------------------------
-
-    def _run_parallel(self, specs, todo, results, reporter) -> None:
-        pending = deque(todo)
-        attempts = {i: 0 for i in todo}
-        started_total = {i: time.monotonic() for i in todo}
-        errors: dict[int, Optional[str]] = {i: None for i in todo}
-        active: dict[int, _Active] = {}
-
-        while pending or active:
-            while pending and len(active) < self.jobs:
-                i = pending.popleft()
-                attempts[i] += 1
-                active[i] = self._launch(i, specs[i], attempts[i])
-
-            finished = [act for act in active.values() if self._settle(act)]
-            for act in finished:
-                del active[act.index]
-                i = act.index
-                kind, value = act.outcome
-                if kind == "ok":
-                    results[i] = self._finish(
-                        specs[i], value, None, attempts[i],
-                        time.monotonic() - started_total[i], reporter)
-                else:
-                    errors[i] = value
-                    if (self.obs.active
-                            and _failure_reason(value) == "crash"):
-                        self.obs.metrics.inc("exec.crashes",
-                                             bench=specs[i].bench)
-                    if attempts[i] <= self.retries:
-                        self._note_retry(specs[i], attempts[i], value,
-                                         reporter)
-                        pending.appendleft(i)    # retry before new work
-                    else:
-                        results[i] = self._finish(
-                            specs[i], None, value, attempts[i],
-                            time.monotonic() - started_total[i], reporter)
-            if not finished:
-                time.sleep(self.poll_interval)
-
-    def _launch(self, index: int, spec: JobSpec, attempt: int = 1) -> _Active:
-        if self.obs.active:
-            self.obs.emit("job.start", bench=spec.bench, label=spec.label(),
-                          attempt=attempt)
-        recv, send = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=_child_main, args=(self.worker, spec, send),
-            daemon=True, name=f"repro-exec-{index}")
-        process.start()
-        send.close()    # child holds the write end now
-        return _Active(index=index, process=process, conn=recv,
-                       started=time.monotonic())
-
-    def _settle(self, act: _Active) -> bool:
-        """Decide whether one active job is done; fill ``act.outcome``."""
-        try:
-            has_message = act.conn.poll()
-        except (OSError, ValueError):
-            # The pipe itself is unusable: even if the worker process is
-            # still alive it can never report a result, so waiting on it
-            # would spin the scheduler forever (with no timeout set).
-            # Treat it exactly like a crash.
-            act.process.terminate()
-            act.outcome = ("error", "worker pipe broken")
-            self._reap(act)
-            return True
-        if has_message:
-            try:
-                act.outcome = act.conn.recv()
-            except (EOFError, OSError):
-                # The child closed the pipe without sending: it died
-                # before reporting (or wedged after closing — terminate
-                # is a no-op on an already-exited process, so the real
-                # exit code survives).  Reap it to learn the exit code.
-                act.process.terminate()
-                act.process.join(self.grace)
-                if act.process.is_alive():
-                    act.process.kill()
-                    act.process.join(self.grace)
-                act.outcome = ("error", "worker crashed (exit code "
-                                        f"{act.process.exitcode})")
-            self._reap(act)
-            return True
-        if not act.process.is_alive():
-            # The child can send its report and exit in the window
-            # between the poll() above and this liveness check — drain
-            # the pipe once more before calling it a crash.
-            try:
-                if act.conn.poll():
-                    act.outcome = act.conn.recv()
-            except (EOFError, OSError, ValueError):
-                pass
-            if act.outcome is None:
-                act.outcome = ("error", "worker crashed (exit code "
-                                        f"{act.process.exitcode})")
-            self._reap(act)
-            return True
-        if (self.timeout is not None
-                and time.monotonic() - act.started > self.timeout):
-            act.process.terminate()
-            act.outcome = ("error",
-                           f"worker timed out after {self.timeout:g}s")
-            if self.obs.active:
-                self.obs.emit("job.timeout", index=act.index,
-                              timeout=self.timeout)
-                self.obs.metrics.inc("exec.timeouts")
-            self._reap(act)
-            return True
-        return False
-
-    def _reap(self, act: _Active) -> None:
-        """Join a finished-or-terminated worker, escalating to SIGKILL.
-
-        ``terminate()`` is only a *request*: a worker stuck in C code,
-        swapping, or trapping SIGTERM can ignore it, and an unbounded
-        ``join()`` would then stall the whole sweep forever.  Join with
-        a grace period, ``kill()`` (uncatchable), then join again."""
-        act.process.join(self.grace)
-        if act.process.is_alive():
-            act.process.kill()
-            act.process.join(self.grace)
-        try:
-            act.conn.close()
-        except OSError:
-            pass
-
     # -- shared completion ---------------------------------------------
 
     def _note_retry(self, spec: JobSpec, attempt: int, error: str,
+                    reason: str,
                     reporter: Optional[ProgressReporter]) -> None:
-        """One failed attempt is about to be retried: emit the labelled
-        retry metric and surface it in the progress line (shared by the
-        serial and parallel paths)."""
-        reason = _failure_reason(error)
+        """One failed attempt is about to be retried: emit the retry
+        metric labelled ``reason`` (``exception``, ``crash`` or
+        ``timeout``) and surface it in the progress line."""
         if self.obs.active:
             self.obs.emit("job.retry", bench=spec.bench, label=spec.label(),
                           attempt=attempt, error=error, reason=reason)

@@ -1,10 +1,10 @@
 """Persistent warm worker pool: long-lived processes serving many jobs.
 
-The per-job-spawn executor path pays a full process lifecycle — spawn,
+Spawning one process per job pays a full process lifecycle — spawn,
 interpreter boot, ``import repro`` (under spawn-type contexts), workload
-build — for *every* job.  A sweep of hundreds of sub-second simulations
-is then dominated by harness overhead, not modelling.  The pool keeps
-``size`` worker processes alive for the whole batch instead:
+build — for *every* job, so a sweep of hundreds of sub-second
+simulations would be dominated by harness overhead, not modelling.  The
+pool keeps ``size`` worker processes alive for the whole batch instead:
 
 * each worker imports the simulator stack **once**, and worker-side
   build caches (decoded workload programs — see
@@ -17,10 +17,12 @@ is then dominated by harness overhead, not modelling.  The pool keeps
   **transparently respawns** them — a stuck or crashed worker costs one
   job (reported failed/retried by the executor), never the sweep.
 
-Failure strings mirror the per-job-spawn path exactly ("worker timed
-out after Ns", "worker crashed (exit code N)", "worker pipe broken"),
-so the executor's retry/metric classification is identical on both
-paths.
+A lost job comes back as a failed :class:`PoolEvent` whose ``reason``
+(``timeout``, ``crash`` or ``pipe``) the executor classifies retries
+and metrics by; its ``value`` is the user-facing error string ("worker
+timed out after Ns", "worker crashed (exit code N)", "worker pipe
+broken").  A job that raised inside the worker has reason
+``exception``.
 
 Observability: ``pool.spawn``/``pool.respawn``/``pool.kill`` events,
 plus ``exec.pool_reuse`` (jobs served by an already-warm worker) and
@@ -47,6 +49,11 @@ from repro.exec.worker import (
     pool_worker_main,
 )
 
+#: Seconds an idle worker may stay silent before the pool pings it.
+HEARTBEAT_INTERVAL = 15.0
+#: Seconds a pinged worker has to answer before it counts as wedged.
+HEARTBEAT_GRACE = 10.0
+
 
 @dataclass
 class PoolEvent:
@@ -57,6 +64,10 @@ class PoolEvent:
     value: object               # payload dict | error string
     duration: float             # seconds between dispatch and completion
     worker: str                 # worker name that served (or lost) it
+    #: Why a failed job failed: ``exception`` (the job raised),
+    #: ``timeout``, ``crash`` (the worker died) or ``pipe`` (its
+    #: transport broke while it lived).  ``None`` on success.
+    reason: Optional[str] = None
 
 
 class _PoolWorker:
@@ -102,16 +113,12 @@ class WorkerPool:
                  worker: Callable[[JobSpec], dict] = execute_spec,
                  timeout: Optional[float] = None,
                  grace: float = 5.0,
-                 heartbeat_interval: float = 15.0,
-                 heartbeat_grace: float = 10.0,
                  mp_context=None,
                  obs: Optional[obs_lib.Observability] = None) -> None:
         self.size = max(1, int(size))
         self.worker_fn = worker
         self.timeout = timeout
         self.grace = grace
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_grace = heartbeat_grace
         if mp_context is None or isinstance(mp_context, str):
             mp_context = multiprocessing.get_context(mp_context)
         self._ctx = mp_context
@@ -250,7 +257,8 @@ class WorkerPool:
                 events.append(PoolEvent(
                     tag=pw.tag, ok=False,
                     value=f"worker timed out after {self.timeout:g}s",
-                    duration=now - pw.dispatched_at, worker=pw.name))
+                    duration=now - pw.dispatched_at, worker=pw.name,
+                    reason="timeout"))
                 pw.tag = None
                 self._stop(pw)
                 self._respawn(pw, reason="timeout")
@@ -265,7 +273,8 @@ class WorkerPool:
                         tag=pw.tag, ok=False,
                         value=(f"worker crashed (exit code "
                                f"{pw.process.exitcode})"),
-                        duration=now - pw.dispatched_at, worker=pw.name))
+                        duration=now - pw.dispatched_at, worker=pw.name,
+                        reason="crash"))
                     pw.tag = None
                 self._respawn(pw, reason="crash")
                 continue
@@ -286,7 +295,7 @@ class WorkerPool:
                 message = pw.conn.recv()
             except EOFError:
                 # Clean close without a reply: the worker exited (or is
-                # exiting) — classify by exit code like the spawn path.
+                # exiting) — report it as a crash with its exit code.
                 self._lost(pw, events, now, pipe_broken=False)
                 return False
             except (OSError, ValueError):
@@ -301,9 +310,11 @@ class WorkerPool:
             elif kind == REPLY_RESULT:
                 __, tag, status, value = message
                 if pw.busy and tag == pw.tag:
+                    ok = status == "ok"
                     events.append(PoolEvent(
-                        tag=tag, ok=(status == "ok"), value=value,
-                        duration=now - pw.dispatched_at, worker=pw.name))
+                        tag=tag, ok=ok, value=value,
+                        duration=now - pw.dispatched_at, worker=pw.name,
+                        reason=None if ok else "exception"))
                     pw.tag = None
                     pw.spec = None
                     pw.jobs_done += 1
@@ -317,12 +328,14 @@ class WorkerPool:
         self._stop(pw)
         if pw.busy:
             if pipe_broken and was_alive:
-                error = "worker pipe broken"
+                reason, error = "pipe", "worker pipe broken"
             else:
+                reason = "crash"
                 error = f"worker crashed (exit code {pw.process.exitcode})"
             events.append(PoolEvent(
                 tag=pw.tag, ok=False, value=error,
-                duration=now - pw.dispatched_at, worker=pw.name))
+                duration=now - pw.dispatched_at, worker=pw.name,
+                reason=reason))
             pw.tag = None
         self._respawn(pw, reason="pipe" if pipe_broken else "crash")
 
@@ -331,11 +344,11 @@ class WorkerPool:
         that neither pongs nor dies within the heartbeat grace is
         wedged — replace it before it eats a job."""
         if pw.ping_sent_at is not None:
-            if now - pw.ping_sent_at > self.heartbeat_grace:
+            if now - pw.ping_sent_at > HEARTBEAT_GRACE:
                 self._stop(pw)
                 self._respawn(pw, reason="heartbeat")
             return
-        if now - pw.last_seen < self.heartbeat_interval:
+        if now - pw.last_seen < HEARTBEAT_INTERVAL:
             return
         pw.ping_token += 1
         try:

@@ -16,7 +16,6 @@ from repro.harness.runner import (
     cached_program,
     clear_cache,
     configure_cache,
-    configure_exec,
     get_store,
     prewarm_specs,
     resolve_cache_dir,
@@ -46,7 +45,6 @@ __all__ = [
     "cached_program",
     "clear_cache",
     "configure_cache",
-    "configure_exec",
     "get_store",
     "prewarm_specs",
     "resolve_cache_dir",

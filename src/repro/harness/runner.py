@@ -158,28 +158,6 @@ _SIM_COUNT = 0                          # simulations run in this process
 _PROGRAMS: dict[tuple, tuple] = {}
 _PROGRAM_CAP = 32                       # builds are cheap; bound the rss
 
-#: Executor defaults the CLI configures once per invocation
-#: (``--pool/--no-pool``, ``--schedule``); drivers and
-#: :func:`prewarm_specs` pick them up so the flags reach every sweep
-#: without threading two extra parameters through each figure driver.
-_EXEC_OPTIONS = {"pool": True, "schedule": "ljf"}
-
-
-def configure_exec(pool: Optional[bool] = None,
-                   schedule: Optional[str] = None) -> dict:
-    """Set process-wide executor defaults; returns the active options."""
-    if pool is not None:
-        _EXEC_OPTIONS["pool"] = bool(pool)
-    if schedule is not None:
-        from repro.exec.sched import POLICIES
-
-        if schedule not in POLICIES:
-            raise ValueError(f"unknown schedule policy {schedule!r}; "
-                             f"expected one of {POLICIES}")
-        _EXEC_OPTIONS["schedule"] = schedule
-    return dict(_EXEC_OPTIONS)
-
-
 def cached_program(kind: str, bench: str, scale: int) -> tuple:
     """The built ``(program, expected, kernel)`` for one benchmark,
     memoized per process — in a warm pool worker this is what keeps
@@ -367,24 +345,16 @@ def run_spec(spec: JobSpec):
 
 def prewarm_specs(specs: Sequence[JobSpec], jobs: int = 1,
                   timeout: Optional[float] = None,
-                  progress: bool = False,
-                  pool: Optional[bool] = None,
-                  schedule: Optional[str] = None) -> list:
-    """Fan a batch of specs out over worker processes, loading every
-    success into the in-process cache (and the store, if enabled).
-
-    ``pool``/``schedule`` default to the process-wide options set by
-    :func:`configure_exec` (warm pool, longest-job-first).
+                  progress: bool = False) -> list:
+    """Fan a batch of specs out over worker processes (the warm pool
+    when ``jobs > 1``), loading every success into the in-process cache
+    (and the store, if enabled).
 
     Failed jobs are reported in the returned
     :class:`~repro.exec.executor.JobResult` list but do not raise —
     a later :func:`run_spec` for that point falls back to in-process
     simulation.
     """
-    if pool is None:
-        pool = _EXEC_OPTIONS["pool"]
-    if schedule is None:
-        schedule = _EXEC_OPTIONS["schedule"]
     cold = [s for s in specs if spec_hash(s) not in _CACHE]
 
     # Shared fast-forward traces: run one recorder per (program, scale,
@@ -404,11 +374,9 @@ def prewarm_specs(specs: Sequence[JobSpec], jobs: int = 1,
     outcomes = []
     if recorders:
         outcomes.extend(run_specs(recorders, jobs=jobs, timeout=timeout,
-                                  store=get_store(), progress=progress,
-                                  pool=pool, schedule=schedule))
+                                  store=get_store(), progress=progress))
     outcomes.extend(run_specs(cold, jobs=jobs, timeout=timeout,
-                              store=get_store(), progress=progress,
-                              pool=pool, schedule=schedule))
+                              store=get_store(), progress=progress))
     for outcome in outcomes:
         if outcome.ok and outcome.payload is not None:
             _CACHE[spec_hash(outcome.spec)] = _result_from_payload(

@@ -55,34 +55,33 @@ def _flaky_worker(spec):
     return _ok_worker(spec)
 
 
-@pytest.mark.parametrize("pool", [True, False],
-                         ids=["warm-pool", "per-job-spawn"])
+@pytest.mark.parametrize("jobs", [2], ids=["warm-pool"])
 class TestPoolSemantics:
-    """Both parallel backends must be observationally identical to the
-    serial path (the pool is an optimisation, never a semantic)."""
+    """The warm pool must be observationally identical to the serial
+    path (the pool is an optimisation, never a semantic)."""
 
-    def test_parallel_matches_serial(self, pool):
+    def test_parallel_matches_serial(self, jobs):
         specs = _specs(6)
         serial = run_specs(specs, jobs=1, worker=_ok_worker)
-        parallel = run_specs(specs, jobs=2, worker=_ok_worker, pool=pool)
+        parallel = run_specs(specs, jobs=jobs, worker=_ok_worker)
         assert [r.payload for r in serial] == [r.payload for r in parallel]
         assert all(r.status == "ok" for r in parallel)
         # Input order is preserved regardless of completion order.
         assert [r.spec for r in parallel] == specs
 
-    def test_byte_identical_records(self, tmp_path, pool):
+    def test_byte_identical_records(self, tmp_path, jobs):
         specs = _specs(5)
         store1 = ResultStore(tmp_path / "serial")
         store2 = ResultStore(tmp_path / "parallel")
         run_specs(specs, jobs=1, worker=_ok_worker, store=store1)
-        run_specs(specs, jobs=2, worker=_ok_worker, store=store2, pool=pool)
+        run_specs(specs, jobs=jobs, worker=_ok_worker, store=store2)
         for spec in specs:
             a = store1.path_for(store1.key(spec)).read_bytes()
             b = store2.path_for(store2.key(spec)).read_bytes()
             assert a == b
 
-    def test_more_jobs_than_specs(self, pool):
-        results = run_specs(_specs(2), jobs=8, worker=_ok_worker, pool=pool)
+    def test_more_jobs_than_specs(self, jobs):
+        results = run_specs(_specs(2), jobs=4 * jobs, worker=_ok_worker)
         assert [r.status for r in results] == ["ok", "ok"]
 
 
@@ -132,141 +131,35 @@ class TestFailureHandling:
         assert by_scale[1].status == "ok"
 
 
-class _BrokenConn:
-    """Pipe end whose poll() raises, as a dead fd does."""
-
-    def poll(self):
-        raise OSError(32, "Broken pipe")
-
-    def close(self):
-        pass
-
-
-class _StubProcess:
-    """Live-looking process we must not wait on before terminating."""
-
-    exitcode = None
-
-    def __init__(self):
-        self.terminated = False
-
-    def terminate(self):
-        self.terminated = True
-
-    def kill(self):
-        self.terminated = True
-
-    def join(self, timeout=None):
-        assert self.terminated, "joined a live worker with a dead pipe"
-
-    def is_alive(self):
-        return not self.terminated
-
-
-class TestBrokenPipe:
-    def test_broken_pipe_treated_as_crash(self):
-        """A live-but-wedged worker whose pipe died must settle as a
-        failure instead of spinning the scheduler forever (regression:
-        a raising poll() used to read as 'no message yet')."""
-        from repro.exec.executor import _Active
-
-        executor = ParallelExecutor(jobs=2, worker=_ok_worker)
-        act = _Active(index=0, process=_StubProcess(), conn=_BrokenConn(),
-                      started=time.monotonic())
-        assert executor._settle(act) is True
-        kind, message = act.outcome
-        assert kind == "error"
-        assert "pipe" in message
-        assert act.process.terminated
-
-
-class _LaggedConn:
-    """Pipe end whose first poll() misses the buffered message, as a
-    real fd does when the child sends and exits between two checks."""
-
-    def __init__(self, conn):
-        self._conn = conn
-        self._polls = 0
-
-    def poll(self):
-        self._polls += 1
-        return False if self._polls == 1 else self._conn.poll()
-
-    def recv(self):
-        return self._conn.recv()
-
-    def close(self):
-        self._conn.close()
-
-
-class _DeadProcess:
-    """Process that already exited cleanly."""
-
-    exitcode = 0
-
-    def is_alive(self):
-        return False
-
-    def terminate(self):
-        pass
-
-    def kill(self):
-        pass
-
-    def join(self, timeout=None):
-        pass
-
-
-class TestSendExitRace:
-    def test_result_sent_just_before_exit_is_not_a_crash(self):
-        """A worker that sends its report and exits between the
-        scheduler's poll() and its liveness check must settle with the
-        report, not as 'worker crashed (exit code 0)' (regression:
-        the dead-process branch never re-read the pipe)."""
-        import multiprocessing
-
-        from repro.exec.executor import _Active
-
-        recv, send = multiprocessing.get_context().Pipe(duplex=False)
-        send.send(("ok", {"value": 42}))
-        send.close()
-        executor = ParallelExecutor(jobs=2, worker=_ok_worker)
-        act = _Active(index=0, process=_DeadProcess(),
-                      conn=_LaggedConn(recv), started=time.monotonic())
-        assert executor._settle(act) is True
-        assert act.outcome == ("ok", {"value": 42})
-
-
-@pytest.mark.parametrize("jobs,pool", [(1, True), (2, True), (2, False)],
-                         ids=["serial", "warm-pool", "per-job-spawn"])
+@pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "warm-pool"])
 class TestCoalescing:
     """Equal-hash duplicates within one batch run once; every duplicate
     receives the primary's payload (regression: each used to simulate —
     or worse, race two writers onto one store record)."""
 
-    def test_duplicates_run_once(self, tmp_path, monkeypatch, jobs, pool):
+    def test_duplicates_run_once(self, tmp_path, monkeypatch, jobs):
         monkeypatch.setenv("REPRO_TEST_COUNT_DIR", str(tmp_path))
         spec = JobSpec.edge("conv", ncores=2, scale=1)
         other = JobSpec.edge("conv", ncores=2, scale=2)
-        results = run_specs([spec, other, spec, spec], jobs=jobs, pool=pool,
+        results = run_specs([spec, other, spec, spec], jobs=jobs,
                             worker=_counting_worker)
         assert [r.status for r in results] == ["ok"] * 4
         assert results[0].payload == results[2].payload == results[3].payload
         assert len(list(tmp_path.iterdir())) == 2    # two unique hashes
 
-    def test_duplicate_shares_failure_too(self, jobs, pool):
+    def test_duplicate_shares_failure_too(self, jobs):
         bad = _specs(4)[1]                           # scale=2: raises
-        results = run_specs([bad, bad], jobs=jobs, pool=pool, retries=0,
+        results = run_specs([bad, bad], jobs=jobs, retries=0,
                             worker=_raise_on_scale_2)
         assert [r.status for r in results] == ["failed", "failed"]
         assert results[1].error == results[0].error
 
-    def test_coalesced_metric_counts_duplicates(self, jobs, pool):
+    def test_coalesced_metric_counts_duplicates(self, jobs):
         from repro.obs import Observability
 
         obs = Observability(metrics_enabled=True)
         spec = JobSpec.edge("conv", ncores=2, scale=1)
-        run_specs([spec, spec, spec], jobs=jobs, pool=pool,
+        run_specs([spec, spec, spec], jobs=jobs,
                   worker=_ok_worker, obs=obs)
         assert obs.metrics.counter("exec.coalesced") == 2
         # Only the primary counts as an executed job.

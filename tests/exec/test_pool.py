@@ -13,8 +13,10 @@ import time
 
 import pytest
 
-from repro.exec import JobSpec, ParallelExecutor, ResultStore, run_specs
+from repro.exec import JobSpec, ParallelExecutor, run_specs
+import repro.exec.pool as pool_mod
 from repro.exec.pool import WorkerPool
+from repro.exec.worker import REPLY_RESULT
 from repro.obs import Observability
 
 
@@ -60,37 +62,21 @@ class TestWarmReuse:
     def test_pool_matches_serial(self):
         specs = _specs(6)
         serial = run_specs(specs, jobs=1, worker=_ok_worker)
-        pooled = run_specs(specs, jobs=2, worker=_ok_worker, pool=True)
+        pooled = run_specs(specs, jobs=2, worker=_ok_worker)
         assert [r.payload for r in pooled] == [r.payload for r in serial]
         assert [r.spec for r in pooled] == specs
-
-    def test_pool_and_spawn_records_byte_identical(self, tmp_path):
-        """The pool is an execution backend, not a semantic change: the
-        store records it writes are the bytes the spawn path writes."""
-        specs = _specs(5)
-        store_pool = ResultStore(tmp_path / "pool")
-        store_spawn = ResultStore(tmp_path / "spawn")
-        run_specs(specs, jobs=2, worker=_ok_worker, store=store_pool,
-                  pool=True)
-        run_specs(specs, jobs=2, worker=_ok_worker, store=store_spawn,
-                  pool=False)
-        for spec in specs:
-            a = store_pool.path_for(store_pool.key(spec)).read_bytes()
-            b = store_spawn.path_for(store_spawn.key(spec)).read_bytes()
-            assert a == b
 
     def test_workers_are_reused_across_jobs(self):
         """6 jobs over 2 warm workers: at least 4 are served by a worker
         that already ran one — the exec.pool_reuse counter proves jobs
         are not paying a process spawn each."""
         obs = _obs()
-        results = run_specs(_specs(6), jobs=2, worker=_ok_worker,
-                            pool=True, obs=obs)
+        results = run_specs(_specs(6), jobs=2, worker=_ok_worker, obs=obs)
         assert all(r.status == "ok" for r in results)
         assert obs.metrics.counter("exec.pool_reuse") >= 4
 
     def test_pool_size_capped_by_todo(self):
-        results = run_specs(_specs(2), jobs=8, worker=_ok_worker, pool=True)
+        results = run_specs(_specs(2), jobs=8, worker=_ok_worker)
         assert [r.status for r in results] == ["ok", "ok"]
 
 
@@ -101,8 +87,7 @@ class TestWatchdog:
         watchdog must escalate to SIGKILL within the grace period and
         mark the job failed."""
         executor = ParallelExecutor(jobs=2, timeout=0.3, retries=0,
-                                    worker=_sigterm_ignoring_worker,
-                                    pool=True)
+                                    worker=_sigterm_ignoring_worker)
         executor.grace = 1.0
         started = time.monotonic()
         (r,) = executor.run(_specs(1))
@@ -113,21 +98,9 @@ class TestWatchdog:
         # nowhere near the worker's 60s sleep.
         assert elapsed < 15
 
-    def test_sigterm_ignoring_worker_spawn_path(self):
-        """The same escalation protects the per-job-spawn backend."""
-        executor = ParallelExecutor(jobs=2, timeout=0.3, retries=0,
-                                    worker=_sigterm_ignoring_worker,
-                                    pool=False)
-        executor.grace = 1.0
-        started = time.monotonic()
-        (r,) = executor.run(_specs(1))
-        assert r.status == "failed"
-        assert "timed out" in r.error
-        assert time.monotonic() - started < 15
-
-    def test_timeout_error_string_matches_spawn_path(self):
+    def test_timeout_error_string(self):
         (r,) = run_specs(_specs(1), jobs=2, timeout=0.2, retries=0,
-                         worker=_sigterm_ignoring_worker, pool=True)
+                         worker=_sigterm_ignoring_worker)
         assert r.error.startswith("worker timed out after 0.2s")
 
 
@@ -140,7 +113,7 @@ class TestRespawn:
         # jobs=2 with one cold spec: the pool backend with one slot
         # (jobs=1 would run serially, in-process).
         results = run_specs(specs, jobs=2, retries=0,
-                            worker=_broken_pipe_worker, pool=True, obs=obs)
+                            worker=_broken_pipe_worker, obs=obs)
         (r,) = results
         assert r.status == "failed"
         assert "worker" in r.error      # pipe broken / crashed (exit 0)
@@ -155,7 +128,7 @@ class TestRespawn:
         obs = _obs()
         specs = _specs(4)
         results = run_specs(specs, jobs=2, retries=0,
-                            worker=_crash_on_scale_2, pool=True, obs=obs)
+                            worker=_crash_on_scale_2, obs=obs)
         by_scale = {r.spec.scale: r for r in results}
         assert by_scale[2].status == "failed"
         assert "exit code 13" in by_scale[2].error
@@ -164,13 +137,13 @@ class TestRespawn:
         assert obs.metrics.counter("exec.worker_respawns",
                                    reason="crash") >= 1
 
-    def test_crash_is_retried_like_spawn_path(self):
-        """The executor's retry policy sees pool crashes exactly as it
-        sees spawn-path crashes (same error string, same metric)."""
+    def test_crash_is_retried_with_exit_code(self):
+        """A crashed worker's job is retried once, then reported with
+        the worker's exit code and counted per attempt."""
         obs = _obs()
         results = run_specs([JobSpec.edge("conv", ncores=2, scale=2)],
                             jobs=2, worker=_crash_on_scale_2,
-                            pool=True, obs=obs)
+                            obs=obs)
         (r,) = results
         assert r.status == "failed"
         assert r.attempts == 2
@@ -210,5 +183,158 @@ class TestPoolUnit:
             assert event.ok
             assert event.value == _ok_worker(_specs(1)[0])
             assert event.duration >= 0.0
+        finally:
+            pool.shutdown()
+
+
+class _StubProcess:
+    """Worker-process stand-in that logs its lifecycle calls in order."""
+
+    def __init__(self, alive=True, exitcode=None):
+        self.alive = alive
+        self.exitcode = exitcode
+        self.calls = []
+
+    def start(self):
+        pass
+
+    def is_alive(self):
+        return self.alive
+
+    def terminate(self):
+        self.calls.append("terminate")
+        self.alive = False
+        self.exitcode = -signal.SIGTERM
+
+    def kill(self):
+        self.calls.append("kill")
+        self.alive = False
+
+    def join(self, timeout=None):
+        self.calls.append("join")
+
+
+class _StubConn:
+    """Pipe-end stand-in: replies queue up for recv(); ``poll_error``
+    makes poll() raise as a dead descriptor does, and ``lag`` makes the
+    first poll() miss a buffered reply, as a real fd can when the
+    worker sends and exits between two checks."""
+
+    def __init__(self, replies=(), poll_error=None, lag=False):
+        self.replies = list(replies)
+        self.poll_error = poll_error
+        self.lag = lag
+        self.sent = []
+
+    def send(self, message):
+        self.sent.append(message)
+
+    def poll(self):
+        if self.poll_error is not None:
+            raise self.poll_error
+        if self.lag:
+            self.lag = False
+            return False
+        return bool(self.replies)
+
+    def recv(self):
+        if not self.replies:
+            raise EOFError
+        return self.replies.pop(0)
+
+    def close(self):
+        pass
+
+
+class _StubContext:
+    """multiprocessing-context stand-in: the first slot gets the given
+    process and pipe end, respawned slots get healthy idle stubs."""
+
+    def __init__(self, process, conn):
+        self.slots = [(process, conn)]
+        self._process = None
+
+    def Pipe(self, duplex=True):
+        self._process, conn = (self.slots.pop(0) if self.slots
+                               else (_StubProcess(), _StubConn()))
+        return conn, _StubConn()
+
+    def Process(self, **kwargs):
+        return self._process
+
+
+def _stub_pool(process, conn, obs=None):
+    """A one-slot pool over scripted stubs, with job 0 dispatched."""
+    pool = WorkerPool(size=1, worker=_ok_worker,
+                      mp_context=_StubContext(process, conn), obs=obs)
+    pool.dispatch(0, _specs(1)[0])
+    return pool
+
+
+class TestBrokenPipe:
+    def test_broken_pipe_on_live_worker_fails_job(self):
+        """A live-but-wedged worker whose pipe died must fail its job
+        instead of spinning the scheduler forever (regression: a
+        raising poll() used to read as 'no message yet'), and it is
+        terminated before anything joins it."""
+        process = _StubProcess()
+        obs = _obs()
+        pool = _stub_pool(process, _StubConn(poll_error=OSError(32, "EPIPE")),
+                          obs=obs)
+        (event,) = pool.poll()
+        assert event.tag == 0
+        assert not event.ok
+        assert event.value == "worker pipe broken"
+        assert event.reason == "pipe"
+        assert process.calls[0] == "terminate"
+        assert obs.metrics.counter("exec.worker_respawns", reason="pipe") == 1
+        assert pool.workers[0].process is not process
+
+
+class TestSendExitRace:
+    def test_result_sent_just_before_exit_is_not_a_crash(self):
+        """A worker that sends its reply and exits between the pool's
+        drain and its liveness check must yield the reply, not 'worker
+        crashed (exit code 0)' (regression: the dead-worker branch
+        never re-read the pipe)."""
+        reply = (REPLY_RESULT, 0, "ok", {"value": 42})
+        pool = _stub_pool(_StubProcess(alive=False, exitcode=0),
+                          _StubConn(replies=[reply], lag=True))
+        (event,) = pool.poll()
+        assert event.ok
+        assert event.value == {"value": 42}
+        assert event.reason is None
+
+
+class TestHeartbeat:
+    def test_stopped_idle_worker_is_replaced(self, monkeypatch):
+        """An idle worker that stops answering pings (SIGSTOP: alive
+        but frozen) is respawned before it can eat a job, and the next
+        job dispatched to the slot succeeds."""
+        monkeypatch.setattr(pool_mod, "HEARTBEAT_INTERVAL", 0.2)
+        monkeypatch.setattr(pool_mod, "HEARTBEAT_GRACE", 0.3)
+        obs = _obs()
+        pool = WorkerPool(size=1, worker=_ok_worker, grace=1.0, obs=obs)
+        try:
+            stopped = pool.workers[0].process
+            os.kill(stopped.pid, signal.SIGSTOP)
+            deadline = time.monotonic() + 20
+            while (pool.respawns == 0 and time.monotonic() < deadline):
+                assert pool.poll() == []
+                time.sleep(0.02)
+            assert obs.metrics.counter("exec.worker_respawns",
+                                       reason="heartbeat") == 1
+            assert pool.workers[0].process is not stopped
+            assert not stopped.is_alive()
+
+            spec = _specs(1)[0]
+            pool.dispatch(0, spec)
+            events = []
+            while not events and time.monotonic() < deadline + 20:
+                events = pool.poll()
+                time.sleep(0.01)
+            (event,) = events
+            assert event.ok
+            assert event.value == _ok_worker(spec)
         finally:
             pool.shutdown()

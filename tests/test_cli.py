@@ -238,8 +238,12 @@ class TestFFTraceFlags:
             ["run", "conv", "--ff-trace"]).ff_trace is True
         assert parser.parse_args(
             ["run", "conv", "--no-ff-trace"]).ff_trace is False
-        with pytest.raises(SystemExit):
-            parser.parse_args(["run", "conv", "--ff-trace", "--no-ff-trace"])
+        for argv in (["run", "conv", "--ff-trace", "--no-ff-trace"],
+                     ["fig6", "--jobs", "0"],
+                     ["sweep", "conv", "--jobs", "-3"]):
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args(argv)
+            assert excinfo.value.code == 2
 
     def test_no_cache_disables_traces_unless_asked(self, monkeypatch,
                                                    tmp_path, capsys):
