@@ -2,13 +2,14 @@
 
 Dashboards, trace consumers, and the drift tests all key on literal
 event/metric names.  A name emitted but absent from
-:mod:`repro.obs.schema` is invisible to all of them; a registered name
-absent from docs/OBSERVABILITY.md is schema nobody can discover.
+:mod:`repro.obs.schema` is invisible to all of them.
 
 * REP401 — ``<obs|bus>.emit("name", ...)`` with an unregistered event
 * REP402 — ``<...>metrics.inc/observe/set_gauge("name", ...)`` with an
   unregistered metric
-* REP403 — a registry entry missing from docs/OBSERVABILITY.md
+
+That every registered name is documented in docs/OBSERVABILITY.md is
+checked by ``tests/obs/test_schema.py``, not here.
 
 Detection is deliberately conservative: only calls whose receiver's
 dotted chain ends in ``obs``/``bus`` (events) or ``metrics`` (metrics)
@@ -26,10 +27,8 @@ from repro.analysis.source import const_str, dotted_name
 
 RULE_EVENT_UNKNOWN = "REP401"
 RULE_METRIC_UNKNOWN = "REP402"
-RULE_UNDOCUMENTED = "REP403"
 
 _METRIC_METHODS = frozenset({"inc", "observe", "set_gauge"})
-_SCHEMA_RELPATH = "repro/obs/schema.py"
 
 
 def _receiver_tail(func: ast.Attribute) -> str:
@@ -76,27 +75,4 @@ def check_obs_names(modules, ctx):
                                 "repro.obs.schema.METRICS",
                         hint="register it (and document it in "
                              "docs/OBSERVABILITY.md) or fix the typo"))
-    # Registry <-> docs cross-check.
-    if ctx.doc_text is not None:
-        schema_mod = next((m for m in modules
-                           if m.relpath == _SCHEMA_RELPATH), None)
-        for kind, names in (("event", sorted(events)),
-                            ("metric", sorted(metrics))):
-            for name in names:
-                if name in ctx.doc_text:
-                    continue
-                line = 0
-                if schema_mod is not None:
-                    # Generated names (tflex.<field>) appear in the
-                    # registry source only as their last segment.
-                    line = (schema_mod.line_of(f'"{name}"')
-                            or schema_mod.line_of(
-                                f'"{name.rsplit(".", 1)[-1]}"'))
-                findings.append(Finding(
-                    rule=RULE_UNDOCUMENTED, severity="P2",
-                    file=_SCHEMA_RELPATH, line=max(line, 1),
-                    message=f"registered {kind} {name!r} is not mentioned "
-                            "in docs/OBSERVABILITY.md",
-                    hint="document the name (tables or prose) in "
-                         "docs/OBSERVABILITY.md"))
     return findings

@@ -8,8 +8,8 @@ the grammar::
 
 i.e. ``# lint: ok(<RULE>[, <RULE>...]) <justification>``.  A marker
 silences the named rules on that physical line only, and the
-justification is mandatory by convention (the marker is the allow-list
-entry; the baseline file is for bulk grandfathering instead).
+justification is mandatory by convention: the marker is the only
+allow-list, so every exception is documented next to its code.
 """
 
 from __future__ import annotations
@@ -47,14 +47,6 @@ class SourceModule:
             text = self.lines[line - 2].lstrip() if line >= 2 else ""
             return text.startswith("#")
         return False
-
-    def line_of(self, needle: str) -> int:
-        """1-based line of the first occurrence of ``needle`` (0 if absent).
-        Used to anchor registry/doc findings to a useful location."""
-        for i, text in enumerate(self.lines, start=1):
-            if needle in text:
-                return i
-        return 0
 
 
 def parse_suppressions(lines) -> dict:

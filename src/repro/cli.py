@@ -18,8 +18,7 @@ Commands:
 * ``disasm BENCH`` — print the compiled EDGE hyperblocks.
 * ``profile BENCH`` — wall-clock phase profile of one simulation.
 * ``lint`` — AST invariant analysis over ``src/repro`` (determinism,
-  content-hash axes, obs schema); exit 1 on non-baseline findings.
-  See docs/ANALYSIS.md.
+  obs schema); exit 1 on any finding.  See docs/ANALYSIS.md.
 
 ``run`` additionally takes ``--inject SPEC`` (repeatable) to inject
 faults: ``dead:CORE``, ``kill:CORE@CYCLE``, or ``link:SRC-DST:EXTRA``
@@ -291,7 +290,6 @@ def _cmd_lint(args) -> int:
     import pathlib
 
     from repro.analysis import LintError, run_lint
-    from repro.analysis.baseline import write_baseline
 
     if args.root is not None:
         root = pathlib.Path(args.root)
@@ -300,25 +298,8 @@ def _cmd_lint(args) -> int:
 
         root = pathlib.Path(repro.__file__).resolve().parent
 
-    baseline = args.baseline
-    if baseline is None:
-        default = pathlib.Path("analysis") / "baseline.json"
-        if default.is_file():
-            baseline = default
-    elif baseline == "none":
-        baseline = None
-
     try:
-        if args.write_baseline:
-            report = run_lint(root, rules=args.rules_parsed)
-            path = args.baseline or str(
-                pathlib.Path("analysis") / "baseline.json")
-            write_baseline(path, report.findings)
-            print(f"repro lint: wrote {len(report.findings)} finding(s) "
-                  f"to {path} — fill in the reasons or fix them")
-            return 0
-        report = run_lint(root, baseline_path=baseline,
-                          rules=args.rules_parsed)
+        report = run_lint(root)
     except LintError as exc:
         print(f"repro lint: internal error: {exc}", file=sys.stderr)
         return 3
@@ -513,8 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_p = sub.add_parser(
         "lint", help="static invariant analysis over src/repro "
-                     "(determinism, hash axes, obs schema — see "
-                     "docs/ANALYSIS.md)")
+                     "(determinism, obs schema — see docs/ANALYSIS.md)")
     lint_p.add_argument(
         "--root", default=None, metavar="DIR",
         help="source tree to analyse (default: the installed repro "
@@ -525,18 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p.add_argument(
         "--out", default=None, metavar="FILE",
         help="also write the report to FILE (same format)")
-    lint_p.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="grandfathered-findings file (default: analysis/baseline.json "
-             "when present; pass 'none' to ignore it)")
-    lint_p.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0")
-    lint_p.add_argument(
-        "--rules", default=None, metavar="IDS",
-        help="comma-separated rule-id prefixes to run, e.g. REP3,REP204 "
-             "(default: all); each must select a pass family "
-             "(REP2 determinism, REP3 hash axes, REP4 obs names)")
 
     for fig in ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table2"):
         fig_p = sub.add_parser(fig, help=f"regenerate {fig}")
@@ -605,19 +573,6 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         if args.max_candidates is not None and args.max_candidates < 1:
             parser.error(f"--max-candidates must be >= 1, "
                          f"got {args.max_candidates}")
-
-    if args.command == "lint":
-        from repro.analysis.engine import PASSES, selected_families
-
-        args.rules_parsed = None
-        if args.rules:
-            args.rules_parsed = tuple(
-                r.strip() for r in args.rules.split(",") if r.strip())
-            bad = [r for r in args.rules_parsed
-                   if not selected_families((r,))]
-            if bad:
-                parser.error(f"--rules entries must select a rule family "
-                             f"({', '.join(PASSES)}), got {', '.join(bad)}")
 
     if args.command == "cache":
         from repro.exec.store import parse_size

@@ -238,8 +238,9 @@ class ParallelExecutor:
                             self.obs.metrics.inc("exec.crashes",
                                                  bench=specs[i].bench)
                         elif reason == "timeout":
-                            self.obs.emit("job.timeout", index=i,
-                                          timeout=self.timeout)
+                            self.obs.emit("job.timeout", bench=specs[i].bench,
+                                          label=specs[i].label(),
+                                          attempt=attempts[i])
                             self.obs.metrics.inc("exec.timeouts")
                     if attempts[i] <= self.retries:
                         self._note_retry(specs[i], attempts[i], error,

@@ -115,13 +115,22 @@ class TestFailureHandling:
         assert r.payload == _ok_worker(_specs(1)[0])
 
     def test_timeout_terminates_worker(self):
+        from repro.obs import Observability, RingBufferSink
+
+        obs = Observability()
+        ring = obs.bus.attach(RingBufferSink())
         executor = ParallelExecutor(jobs=2, timeout=0.25, retries=0,
-                                    worker=_sleep_worker)
+                                    worker=_sleep_worker, obs=obs)
         started = time.monotonic()
         (r,) = executor.run(_specs(1))
         assert r.status == "failed"
         assert "timed out" in r.error
         assert time.monotonic() - started < 10      # not the 30s sleep
+        # The documented docs/OBSERVABILITY.md fields, not a batch index.
+        (event,) = ring.of_kind("job.timeout")
+        assert set(event) == {"kind", "bench", "label", "attempt"}
+        assert (event["bench"], event["label"], event["attempt"]) == \
+            ("conv", r.spec.label(), 1)
 
     def test_serial_path_retries_raises(self):
         results = run_specs(_specs(4), jobs=1, worker=_raise_on_scale_2)

@@ -2,13 +2,14 @@
 
 Two directions, per docs/ANALYSIS.md:
 
-* registry ⊆ docs — every registered name must appear literally in
-  docs/OBSERVABILITY.md (the static REP403 pass enforces the same thing
-  at lint time; this keeps the check in the plain test lane too);
+* registry ⊆ docs — every registered event has a table row under
+  "## Event schema" and every profiler phase a row under "## Phase
+  profiler" in docs/OBSERVABILITY.md; metrics, documented in prose,
+  must appear literally.  This is the only registry→docs guard;
 * registry ⊇ runtime — every name actually emitted by a representative
   fast-lane workload (detailed run + sampled run, metrics on) must be
-  registered, which catches dynamically formatted names the AST pass
-  cannot see (e.g. the ``tflex.<field>`` scalar flush).
+  registered, which catches dynamically formatted names the REP4xx
+  lint pass cannot see (e.g. the ``tflex.<field>`` scalar flush).
 """
 
 from pathlib import Path
@@ -25,11 +26,32 @@ from repro.obs.schema import (
 DOC = Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
 
 
+def _section(heading: str) -> str:
+    """The text of one ``## heading`` section of docs/OBSERVABILITY.md."""
+    text = DOC.read_text(encoding="utf-8")
+    start = text.index(f"\n## {heading}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:end if end != -1 else len(text)]
+
+
+def _missing_rows(names, heading: str) -> list:
+    """Names without a ``| `name` |`` table row in the section."""
+    section = _section(heading)
+    return sorted(n for n in names if f"| `{n}` |" not in section)
+
+
 class TestRegistryMatchesDocs:
     def test_every_event_is_documented(self):
-        text = DOC.read_text(encoding="utf-8")
-        missing = sorted(n for n in EVENT_NAMES if n not in text)
-        assert not missing, f"events not in docs/OBSERVABILITY.md: {missing}"
+        missing = _missing_rows(EVENT_NAMES, "Event schema")
+        assert not missing, (
+            f"events without a row under '## Event schema' in "
+            f"docs/OBSERVABILITY.md: {missing}")
+
+    def test_every_phase_is_documented(self):
+        missing = _missing_rows(PHASE_NAMES, "Phase profiler")
+        assert not missing, (
+            f"phases without a row under '## Phase profiler' in "
+            f"docs/OBSERVABILITY.md: {missing}")
 
     def test_every_metric_is_documented(self):
         text = DOC.read_text(encoding="utf-8")
